@@ -98,12 +98,9 @@ class CampaignScheduler:
         progress: Callable[[RunResult], None] | None = None,
         max_worker_restarts: int = 2,
         handle_signals: bool = False,
-        slot_batch: int = 1,
     ):
         if jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {jobs}")
-        if slot_batch < 1:
-            raise SweepError(f"slot_batch must be >= 1, got {slot_batch}")
         if max_worker_restarts < 0:
             raise SweepError(
                 f"max_worker_restarts must be >= 0, got {max_worker_restarts}"
@@ -120,8 +117,6 @@ class CampaignScheduler:
         self.engine = runner.engine if isinstance(runner, BenchmarkRunner) else runner
         self.backend = backend
         self.jobs = jobs
-        #: serial-backend slot width for engine-level array batching
-        self.slot_batch = slot_batch
         self.executor = executor
         self.watchdog = watchdog
         if journal is not None and not isinstance(journal, SweepJournal):
@@ -486,12 +481,10 @@ class CampaignScheduler:
         if self.executor is not None:
             return self.executor
         if self.backend is not None:
-            return make_executor(
-                self.backend, jobs=self.jobs, batch=self.slot_batch
-            )
+            return make_executor(self.backend, jobs=self.jobs)
         # historical auto-selection: threads only when they can help
         if self.jobs == 1 or todo <= 1:
-            return make_executor("serial", batch=self.slot_batch)
+            return make_executor("serial")
         return make_executor("thread", jobs=self.jobs)
 
     def _finish(

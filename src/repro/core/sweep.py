@@ -121,7 +121,6 @@ def explore(
     resume_or_start: bool = False,
     max_worker_restarts: int = 2,
     handle_signals: bool = False,
-    slot_batch: int = 1,
 ) -> ResultSet:
     """Run every point of a sweep on a target.
 
@@ -159,10 +158,9 @@ def explore(
     :class:`~repro.errors.SweepError` naming the grid point, instead of
     leaving orphaned workers running.
 
-    ``slot_batch > 1`` lets the serial backend hand same-shape
-    neighbouring points to the engine in one batch so the vectorized
-    array lane can execute them in a single stacked pass; parallel
-    backends ignore it. Results are fingerprint-identical either way.
+    Every backend runs a point through the same engine path: one
+    functional pass over the point's arrays, then model-only warm-up
+    and timed launches (see ``docs/ENGINE.md``).
     """
     scheduler = CampaignScheduler(
         runner,
@@ -175,7 +173,6 @@ def explore(
         progress=progress,
         max_worker_restarts=max_worker_restarts,
         handle_signals=handle_signals,
-        slot_batch=slot_batch,
     )
     points = list(sweep.points())
     return scheduler.run(points, skipped=len(sweep.skipped))

@@ -397,7 +397,7 @@ class CommandQueue:
         call_args: dict[str, object],
     ) -> None:
         if self._skip_execute:
-            # results were computed externally (engine slot batching)
+            # the buffers already hold this launch's results
             obs_metrics.count("fastpath.runs.primed")
             return
         checked = kernel.program.checked
@@ -428,12 +428,13 @@ class CommandQueue:
     def external_execution(self) -> Iterator[None]:
         """Launches inside this context skip functional execution.
 
-        The engine's slot-batching path computes a point's functional
-        results once with :meth:`~repro.oclc.vectorize.VectorKernel.run_batch`
-        and copies them into the buffers; the timed warmup/measurement
-        launches then only need the performance model, the virtual
-        clock and the event stream — re-running the kernel would just
-        recompute identical idempotent results.
+        They still check the launch, fire the ``launch`` fault site,
+        evaluate the performance model and advance the virtual clock;
+        only the kernel itself does not run, and
+        ``fastpath.runs.primed`` counts the launch. The engine relaunches
+        a point's kernel this way after its first launch: the STREAM
+        kernels never read what they write, so re-running one would
+        recompute the arrays the buffers already hold.
         """
         prev = self._skip_execute
         self._skip_execute = True

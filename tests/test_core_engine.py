@@ -84,6 +84,10 @@ class TestStagedPipeline:
         with pytest.raises(BenchmarkError):
             ExecutionEngine("cpu", ntimes=0)
 
+    def test_warmup_validation(self):
+        with pytest.raises(BenchmarkError, match="warmup must be >= 0"):
+            ExecutionEngine("cpu", warmup=-3, ntimes=2)
+
     def test_host_stream_through_engine(self):
         params = TuningParameters(array_bytes=1 * MIB, locus=StreamLocus.HOST)
         result = _engine("gpu").run(params)

@@ -13,12 +13,11 @@ silent per-kernel fallback); silent divergence is the one outcome
 these tests exist to make impossible.
 
 Covers: the full 13-variant conformance grid x 4 kernels x 3 dtypes,
-ragged tails (sizes that leave unroll/nested-loop remainders), the
-grid-point-stacked batch path (``VectorKernel.run_batch`` and
-``ExecutionEngine.run_batch``), lane selection/fallback plumbing,
-hypothesis fuzzing with greedy shrinking, golden-corpus pinning, and
-the ``vectorize`` fault site's negative path on all three scheduler
-backends.
+ragged tails (sizes that leave unroll/nested-loop remainders),
+relaunch idempotence and the engine's one functional pass per attempt,
+lane selection/fallback plumbing, hypothesis fuzzing with greedy
+shrinking, golden-corpus pinning, and the ``vectorize`` fault site's
+negative path on all three scheduler backends.
 """
 
 from __future__ import annotations
@@ -42,20 +41,11 @@ from repro.core.params import (
 )
 from repro.core.runner import BenchmarkRunner
 from repro.core.sweep import ParameterSweep
-from repro.errors import (
-    BenchmarkError,
-    SweepError,
-    UnsupportedKernelError,
-)
-from repro.faults import FAULT_SITES, FaultPlan, FaultSpec
+from repro.errors import BenchmarkError, UnsupportedKernelError
+from repro.faults import FAULT_SITES, FaultPlan, FaultSpec, InjectedLaunchFault
 from repro.obs import metrics as obs_metrics
 from repro.ocl.queue import EXEC_LANES
-from repro.oclc import (
-    VectorKernel,
-    compile_kernel,
-    compile_source_cached,
-    vectorize_kernel,
-)
+from repro.oclc import compile_kernel, compile_source_cached, vectorize_kernel
 from repro.oclc.interp import BufferArg
 from repro.verify.conformance import (
     _VARIANT_AXES,
@@ -73,8 +63,11 @@ ALL_KERNELS = tuple(KernelName)
 ALL_DTYPES = tuple(DataType)
 
 
-def _run_lane(params: TuningParameters, factory) -> dict[str, np.ndarray]:
-    """Run one point through a driver factory on fresh STREAM arrays."""
+def _run_lane(
+    params: TuningParameters, factory, launches: int = 1
+) -> dict[str, np.ndarray]:
+    """Launch one point ``launches`` times through a driver factory on
+    the same fresh STREAM arrays."""
     gen = generate(params)
     checked = compile_source_cached(
         gen.source, {k: str(v) for k, v in gen.defines.items()}
@@ -85,7 +78,9 @@ def _run_lane(params: TuningParameters, factory) -> dict[str, np.ndarray]:
     call = {name: BufferArg(arrays[name]) for name in (*spec.reads, spec.writes)}
     if spec.uses_scalar:
         call["q"] = SCALAR_Q
-    factory(checked, gen.kernel_name).run(gen.global_size, call, gen.local_size)
+    runner = factory(checked, gen.kernel_name)
+    for _ in range(launches):
+        runner.run(gen.global_size, call, gen.local_size)
     return arrays
 
 
@@ -161,96 +156,30 @@ def test_ragged_tails_bit_identical(kernel):
         assert got == _checksum(params, compile_kernel), params.describe()
 
 
-# -- batch path: stacked grid points == one-at-a-time -------------------------
-
-
-def _batch_fixture(params: TuningParameters, n: int):
-    """(kernel, gen, n calls with distinct initial arrays, copies)."""
-    gen = generate(params)
-    checked = compile_source_cached(
-        gen.source, {k: str(v) for k, v in gen.defines.items()}
-    )
-    vk = vectorize_kernel(checked, gen.kernel_name)
-    assert isinstance(vk, VectorKernel)
-    spec = KERNELS[params.kernel]
-    rng = np.random.default_rng(17)
-    calls, mirrors = [], []
-    for _ in range(n):
-        base = initial_arrays(params.word_count, params.dtype)
-        arrays = {
-            name: (base[name] + rng.integers(1, 5)).astype(base[name].dtype)
-            for name in ("a", "b", "c")
-        }
-        mirrors.append({name: arr.copy() for name, arr in arrays.items()})
-        call = {
-            name: BufferArg(arrays[name]) for name in (*spec.reads, spec.writes)
-        }
-        if spec.uses_scalar:
-            call["q"] = SCALAR_Q
-        calls.append((arrays, call))
-    return gen, vk, spec, calls, mirrors
+# -- relaunch idempotence: one launch == every launch --------------------------
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.value)
-def test_run_batch_matches_per_run(kernel):
-    params = TuningParameters(
-        kernel=kernel, array_bytes=ARRAY_BYTES, vector_width=4
-    )
-    gen, vk, spec, calls, mirrors = _batch_fixture(params, 4)
-    vk.run_batch(gen.global_size, [c for _, c in calls], gen.local_size)
-    for (arrays, _), mirror in zip(calls, mirrors):
-        call = {
-            name: BufferArg(mirror[name]) for name in (*spec.reads, spec.writes)
-        }
-        if spec.uses_scalar:
-            call["q"] = SCALAR_Q
-        vk.run(gen.global_size, call, gen.local_size)
-        for name in ("a", "b", "c"):
-            assert np.array_equal(arrays[name], mirror[name]), (
-                f"{kernel.value}: batched {name} diverges from per-run"
+@pytest.mark.parametrize("dtype", ALL_DTYPES, ids=lambda d: d.value)
+def test_relaunch_idempotent_full_grid(kernel, dtype):
+    """A second launch on the same arrays changes no bit.
+
+    The engine executes a point's kernel once per attempt and replays
+    only the device model for its other launches; this is the law that
+    makes the replay exact. The interpreter is the oracle on the
+    tier-1 subset.
+    """
+    for i, params in enumerate(variant_grid(kernel, dtype, ARRAY_BYTES)):
+        once = _checksum(params, vectorize_kernel)
+        twice = output_checksum(_run_lane(params, vectorize_kernel, launches=2))
+        assert twice == once, params.describe()
+        if dtype in (DataType.INT, DataType.DOUBLE) and i % 4 == 0:
+            assert twice == output_checksum(interpret_point(params)), (
+                params.describe()
             )
 
 
-def test_run_batch_refuses_mixed_shapes():
-    params = TuningParameters(array_bytes=ARRAY_BYTES)
-    gen, vk, spec, calls, _ = _batch_fixture(params, 2)
-    small = initial_arrays(params.word_count // 2, params.dtype)
-    calls[1][1]["a"] = BufferArg(small["a"])
-    with pytest.raises(UnsupportedKernelError, match="shape"):
-        vk.run_batch(gen.global_size, [c for _, c in calls], gen.local_size)
-
-
-def test_run_batch_refuses_mixed_scalars():
-    params = TuningParameters(kernel=KernelName.TRIAD, array_bytes=ARRAY_BYTES)
-    gen, vk, spec, calls, _ = _batch_fixture(params, 2)
-    calls[1][1]["q"] = SCALAR_Q + 1
-    with pytest.raises(UnsupportedKernelError, match="scalar"):
-        vk.run_batch(gen.global_size, [c for _, c in calls], gen.local_size)
-
-
-def test_run_batch_single_and_empty_degenerate():
-    params = TuningParameters(array_bytes=ARRAY_BYTES)
-    gen, vk, spec, calls, mirrors = _batch_fixture(params, 1)
-    vk.run_batch(gen.global_size, [])  # no-op
-    vk.run_batch(gen.global_size, [calls[0][1]], gen.local_size)
-    call = {
-        name: BufferArg(mirrors[0][name]) for name in (*spec.reads, spec.writes)
-    }
-    vk.run(gen.global_size, call, gen.local_size)
-    for name in ("a", "b", "c"):
-        assert np.array_equal(calls[0][0][name], mirrors[0][name])
-
-
-# -- engine + scheduler integration -------------------------------------------
-
-#: a batchable slot: the simd attribute changes the device build but
-#: not the kernel body, so all three points share one batch signature
-BATCH_POINTS = [
-    TuningParameters(
-        array_bytes=64 * KIB, reqd_work_group_size=64, num_simd_work_items=s
-    )
-    for s in (1, 2, 4)
-]
+# -- engine integration -------------------------------------------------------
 
 
 def _engine(**kw) -> ExecutionEngine:
@@ -273,65 +202,61 @@ class TestEngineLanes:
         with pytest.raises(BenchmarkError, match="exec_lane"):
             BenchmarkRunner("cpu", exec_lane="turbo")
 
-    def test_run_batch_matches_run_fingerprints(self):
+
+
+class _SecondLaunchFault(FaultPlan):
+    """Fails the second launch of a point's first attempt, after its
+    first launch has executed the kernel."""
+
+    def __init__(self):
+        super().__init__(FaultSpec())
+        self.launches = 0
+
+    def check(self, site: str, point_key: str, attempt: int) -> None:
+        if site == "launch" and attempt == 0:
+            self.launches += 1
+            if self.launches == 2:
+                raise InjectedLaunchFault("flaky kernel launch")
+
+
+#: (exec_lane, the lane name its runs are counted under)
+COUNTED_LANES = [("vectorized", "vectorized"), ("interp", "interpreted")]
+
+
+class TestOneFunctionalPass:
+    POINT = TuningParameters(array_bytes=4 * KIB, kernel=KernelName.TRIAD)
+
+    def _counted_run(self, engine: ExecutionEngine):
         reg = obs_metrics.MetricsRegistry()
         with obs_metrics.use_registry(reg):
-            batched = ExecutionEngine("aocl", ntimes=2).run_batch(BATCH_POINTS)
-        single = [
-            ExecutionEngine("aocl", ntimes=2).run(p) for p in BATCH_POINTS
-        ]
-        assert [r.fingerprint() for r in batched] == [
-            r.fingerprint() for r in single
-        ]
-        counters = reg.snapshot()["counters"]
-        assert counters.get("engine.batched_points", 0) == len(BATCH_POINTS)
-        assert counters.get("fastpath.runs.primed", 0) > 0
+            result = engine.run(self.POINT)
+        return result, reg.snapshot()["counters"]
 
-    def test_run_batch_heterogeneous_points_still_identical(self):
-        # differing kernels / dtypes split into singleton groups: no
-        # priming happens, results still match the unbatched path
-        points = [
-            TuningParameters(array_bytes=32 * KIB),
-            TuningParameters(
-                array_bytes=32 * KIB, kernel=KernelName.TRIAD
-            ),
-            TuningParameters(array_bytes=32 * KIB, dtype=DataType.DOUBLE),
-        ]
-        batched = _engine().run_batch(points)
-        single = [_engine().run(p) for p in points]
-        assert [r.fingerprint() for r in batched] == [
-            r.fingerprint() for r in single
-        ]
+    @pytest.mark.parametrize("lane, counted", COUNTED_LANES)
+    def test_each_attempt_executes_the_kernel_once(self, lane, counted):
+        engine = _engine(exec_lane=lane, warmup=2, ntimes=3)
+        result, counters = self._counted_run(engine)
+        assert result.ok and result.validated
+        assert counters.get(f"fastpath.runs.{counted}") == 1
+        assert counters.get("fastpath.runs.primed") == 2 + 3 - 1
 
-    def test_run_batch_respects_compiled_lane_opt_out(self):
-        # exec_lane="compiled" opts out of the array lane, so batching
-        # must quietly degrade to the per-point path
-        engine = ExecutionEngine("aocl", ntimes=2, exec_lane="compiled")
-        reg = obs_metrics.MetricsRegistry()
-        with obs_metrics.use_registry(reg):
-            batched = engine.run_batch(BATCH_POINTS)
-        assert all(r.ok for r in batched)
-        assert "engine.batched_points" not in reg.snapshot()["counters"]
-
-
-class TestSlotBatchScheduler:
-    def _sweep(self):
-        return ParameterSweep(
-            base=TuningParameters(array_bytes=32 * KIB),
-            axes={"vector_width": [1, 2, 4], "array_bytes": [32 * KIB, 64 * KIB]},
+    @pytest.mark.parametrize("lane, counted", COUNTED_LANES)
+    def test_retry_executes_again_on_fresh_buffers(self, lane, counted):
+        clean = _engine(exec_lane=lane, warmup=2, ntimes=3).run(self.POINT)
+        engine = _engine(
+            exec_lane=lane,
+            warmup=2,
+            ntimes=3,
+            faults=_SecondLaunchFault(),
+            backoff_s=0.0,
         )
-
-    def test_slot_batched_sweep_fingerprint_identical(self):
-        plain = explore(_engine(ntimes=1), self._sweep())
-        batched = explore(_engine(ntimes=1), self._sweep(), slot_batch=4)
-        assert len(plain) == len(batched) == 6
-        assert [r.fingerprint() for r in plain] == [
-            r.fingerprint() for r in batched
-        ]
-
-    def test_slot_batch_validated(self):
-        with pytest.raises(SweepError, match="slot_batch"):
-            explore(_engine(ntimes=1), self._sweep(), slot_batch=0)
+        result, counters = self._counted_run(engine)
+        assert result.detail["engine"]["attempts"] == 2
+        # attempt 0 ran the kernel once and failed on its next launch;
+        # attempt 1 ran it again on its own buffers
+        assert counters.get(f"fastpath.runs.{counted}") == 2
+        assert counters.get("fastpath.runs.primed") == 2 + 3 - 1
+        assert result.fingerprint() == clean.fingerprint()
 
 
 # -- hypothesis: vectorize exactly or refuse loudly ---------------------------
