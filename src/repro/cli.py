@@ -41,10 +41,12 @@ from .core import (
     fsck_journal,
     generate,
     metrics_table,
+    multifidelity_search,
     results_table,
     series_table,
     stream_table,
 )
+from .core.search import DEFAULT_BUDGET
 from .errors import ReproError
 from .faults import FAULT_SITES
 from .ocl.platform import get_platforms
@@ -214,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_args(source)
 
     tune = sub.add_parser(
-        "autotune", help="coordinate-descent DSE instead of a full grid"
+        "autotune",
+        help="model-guided multi-fidelity search instead of a full grid "
+        "(docs/AUTOTUNE.md)",
     )
     _add_point_args(tune)
     _add_obs_args(tune)
@@ -225,35 +229,31 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FIELD=V1,V2,...",
         help="axis to tune over (repeatable; default: loop + vector_width + unroll)",
     )
-    tune.add_argument("--budget", type=int, default=40, help="max evaluations")
-    tune.add_argument("--ntimes", type=int, default=3)
     tune.add_argument(
-        "--strategy",
-        choices=("descent", "multifidelity"),
-        default="descent",
-        help="descent: greedy coordinate descent (default); multifidelity: "
-        "model-guided successive halving + refinement (docs/AUTOTUNE.md)",
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help=f"max measured evaluations (default: {DEFAULT_BUDGET})",
     )
+    tune.add_argument("--ntimes", type=int, default=3)
     tune.add_argument(
         "--eta",
         type=int,
         default=2,
         metavar="N",
-        help="multifidelity halving rate: keep ceil(n/N) survivors per rung "
-        "(default: 2)",
+        help="halving rate: keep ceil(n/N) survivors per rung (default: 2)",
     )
     tune.add_argument(
         "--no-refine",
         action="store_true",
-        help="multifidelity: skip local refinement, spend the whole budget "
-        "on halving",
+        help="skip local refinement, spend the whole budget on halving",
     )
     tune.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="evaluate each axis scan's candidates on N workers "
+        help="evaluate each rung's candidates on N workers "
         "(the trajectory is unchanged)",
     )
     tune.add_argument(
@@ -721,7 +721,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     with _obs_session(args) as session:
         reporter = obs.SweepProgress(total=len(sweep), verbosity=_verbosity(args))
-        # the CLI is a scheduler client like explore()/autotune(): the
+        # the CLI is a scheduler client like explore(): the
         # scheduler handle is kept so crash/requeue counters can be shown
         scheduler = CampaignScheduler(
             runner,
@@ -893,15 +893,12 @@ def _cmd_source(args: argparse.Namespace) -> int:
 
 
 def _cmd_autotune(args: argparse.Namespace) -> int:
-    from .core import LoopManagement as _LM
-    from .core import autotune, multifidelity_search
-
     seed = _params_from(args)
     if args.axis:
         axes = dict(_parse_axis(a) for a in args.axis)
     else:
         axes = {
-            "loop": list(_LM),
+            "loop": list(LoopManagement),
             "vector_width": [1, 2, 4, 8, 16],
             "unroll": [1, 2, 4],
         }
@@ -912,50 +909,32 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
         else None
     )
     with _obs_session(args) as session:
-        if args.strategy == "multifidelity":
-            out = multifidelity_search(
-                runner,
-                axes,
-                seed=seed,
-                budget=args.budget,
-                eta=args.eta,
-                refine=not args.no_refine,
-                jobs=args.jobs,
-                backend=args.backend,
-                journal=journal,
-                resume=args.resume,
-                resume_or_start=args.resume_or_start,
-            )
-        else:
-            out = autotune(
-                runner,
-                axes,
-                seed=seed,
-                budget=args.budget,
-                jobs=args.jobs,
-                backend=args.backend,
-                journal=journal,
-                resume=args.resume,
-                resume_or_start=args.resume_or_start,
-            )
+        out = multifidelity_search(
+            runner,
+            axes,
+            seed=seed,
+            budget=args.budget,
+            eta=args.eta,
+            refine=not args.no_refine,
+            jobs=args.jobs,
+            backend=args.backend,
+            journal=journal,
+            resume=args.resume,
+            resume_or_start=args.resume_or_start,
+        )
         # inside the session so the warnings also land in --log-json
         _warn_journal_health(journal)
     _report_obs(session)
-    if args.strategy == "multifidelity":
+    print(
+        f"evaluated {out.spent}/{out.pool_size} pool points "
+        f"({len(out.rungs)} rungs, trajectory "
+        f"{out.trajectory_fingerprint()})"
+    )
+    for rung in out.rungs:
         print(
-            f"evaluated {out.spent}/{out.pool_size} pool points "
-            f"({len(out.rungs)} rungs, trajectory "
-            f"{out.trajectory_fingerprint()})"
-        )
-        for rung in out.rungs:
-            print(
-                f"  rung {rung.index} [{rung.tier}]: "
-                f"{len(rung.candidates)} candidate(s) -> "
-                f"{len(rung.survivors)} survivor(s), spent {rung.spent}"
-            )
-    else:
-        print(
-            f"evaluated {out.evaluations_used} points in {out.rounds} round(s)"
+            f"  rung {rung.index} [{rung.tier}]: "
+            f"{len(rung.candidates)} candidate(s) -> "
+            f"{len(rung.survivors)} survivor(s), spent {rung.spent}"
         )
     if journal is not None:
         print(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ..faults import FaultPlan, FaultSpec
 from ..ocl.program import BuildCache
-from .autotune import AutotuneResult, autotune
 from .engine import STAGES, EngineStats, ExecutionEngine, Watchdog, WorkerSpec
 from .generator import GeneratedKernel, generate
 from .history import (
@@ -109,8 +108,6 @@ __all__ = [
     "explore",
     "best_configuration",
     "validate_solution",
-    "autotune",
-    "AutotuneResult",
     "multifidelity_search",
     "SearchResult",
     "SearchRung",

@@ -7,8 +7,9 @@ journal-backed checkpoint/resume, the worker-crash requeue policy,
 progress callbacks, and the campaign's obs events/spans/metrics.
 Execution itself is delegated to an :class:`~repro.core.scheduler.executors.Executor`
 (serial / thread / process — see :mod:`repro.core.scheduler.executors`),
-so :func:`repro.core.sweep.explore`, :func:`repro.core.autotune.autotune`
-and the CLI are all thin clients of one scheduling engine.
+so :func:`repro.core.sweep.explore`,
+:func:`repro.core.search.multifidelity_search` and the CLI are all thin
+clients of one scheduling engine.
 
 Crash/requeue policy
 --------------------
@@ -79,7 +80,7 @@ class CampaignScheduler:
     :class:`~repro.core.scheduler.executors.Executor` instead.
 
     The scheduler is reusable: each :meth:`run` call schedules one
-    batch (the autotuner runs many batches through one scheduler), and
+    batch (the multi-fidelity search runs one batch per rung), and
     the journal/restore state and the crash/requeue/dedup counters
     carry across batches.
     """

@@ -175,8 +175,8 @@ class Executor:
 
     Closing the session cancels queued-but-unstarted tasks and releases
     workers. Executors are stateless factories — one instance can open
-    any number of sequential sessions (the autotuner opens one per
-    batch).
+    any number of sequential sessions (the multi-fidelity search opens
+    one per rung).
     """
 
     name: str = "?"

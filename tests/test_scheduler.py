@@ -23,7 +23,6 @@ from repro.core import (
     ParameterSweep,
     SweepJournal,
     TuningParameters,
-    autotune,
     explore,
     make_executor,
 )
@@ -336,53 +335,6 @@ class TestProcessExecutor:
         assert make_executor("serial").name == "serial"
         assert isinstance(make_executor("thread", jobs=3), ThreadExecutor)
         assert make_executor("process", jobs=2).jobs == 2
-
-
-class TestAutotuneThroughScheduler:
-    AXES = {
-        "loop": list(LoopManagement),
-        "vector_width": [1, 2, 4, 8],
-        "unroll": [1, 2],
-    }
-
-    def _seed(self) -> TuningParameters:
-        return TuningParameters(array_bytes=128 * KIB)
-
-    def test_parallel_scan_keeps_serial_trajectory(self):
-        serial = autotune(
-            BenchmarkRunner("aocl", ntimes=1), self.AXES,
-            seed=self._seed(), budget=20,
-        )
-        threaded = autotune(
-            BenchmarkRunner("aocl", ntimes=1), self.AXES,
-            seed=self._seed(), budget=20, jobs=3,
-        )
-        process = autotune(
-            BenchmarkRunner("aocl", ntimes=1), self.AXES,
-            seed=self._seed(), budget=20, jobs=2, backend="process",
-        )
-        assert serial.trajectory == threaded.trajectory == process.trajectory
-        assert serial.best.fingerprint() == threaded.best.fingerprint()
-        assert serial.best.fingerprint() == process.best.fingerprint()
-        assert serial.evaluations_used == threaded.evaluations_used
-        assert serial.evaluations_used == process.evaluations_used
-
-    def test_journal_resume_replays_trajectory(self, tmp_path):
-        journal_path = tmp_path / "tune.jsonl"
-        first = autotune(
-            BenchmarkRunner("aocl", ntimes=1), self.AXES,
-            seed=self._seed(), budget=20, journal=journal_path,
-        )
-        journal = SweepJournal(journal_path)
-        resumed = autotune(
-            BenchmarkRunner("aocl", ntimes=1), self.AXES,
-            seed=self._seed(), budget=20, journal=journal, resume=True,
-        )
-        assert journal.reused == first.evaluations_used
-        assert journal.executed == 0  # nothing re-ran
-        assert resumed.trajectory == first.trajectory
-        assert resumed.best.fingerprint() == first.best.fingerprint()
-        assert resumed.evaluations_used == first.evaluations_used
 
 
 class TestSearchThroughScheduler:

@@ -37,6 +37,10 @@ job (as a CLI). Run from the repository root::
     python tools/chaos.py --backend serial --mode torn
     python tools/chaos.py --backend thread --mode term \
         --faults worker_crash=0.4,seed=11
+    python tools/chaos.py --backend process --mode search
+
+``--mode search`` kills ``mp-stream autotune`` (the multi-fidelity
+search) mid-rung instead and compares rung fingerprints.
 """
 
 from __future__ import annotations
@@ -72,12 +76,10 @@ from repro.units import parse_size  # noqa: E402
 __all__ = [
     "ChaosOutcome",
     "DEFAULT_AXES",
-    "autotune_child_argv",
     "child_argv",
     "find_torn_seed",
     "journal_records",
     "main",
-    "run_autotune_chaos",
     "run_chaos",
     "run_search_chaos",
     "run_uninterrupted",
@@ -479,7 +481,7 @@ def run_chaos(
             tmp.cleanup()
 
 
-def autotune_child_argv(
+def search_child_argv(
     journal: str | Path,
     *,
     target: str = DEFAULT_TARGET,
@@ -488,7 +490,7 @@ def autotune_child_argv(
     axes: dict | None = None,
     backend: str = "process",
     jobs: int = 2,
-    budget: int = 20,
+    budget: int = 8,
 ) -> list[str]:
     """The ``mp-stream autotune`` command line the chaos subprocess runs."""
     argv = [
@@ -515,141 +517,6 @@ def autotune_child_argv(
     for name, values in (axes or DEFAULT_AXES).items():
         argv += ["--axis", f"{name}={','.join(str(v) for v in values)}"]
     return argv
-
-
-def run_autotune_chaos(
-    *,
-    backend: str = "process",
-    jobs: int = 2,
-    target: str = DEFAULT_TARGET,
-    size: str = DEFAULT_SIZE,
-    ntimes: int = DEFAULT_NTIMES,
-    axes: dict | None = None,
-    budget: int = 20,
-    kill_at: int = DEFAULT_KILL_AT,
-    timeout: float = 120.0,
-    workdir: str | Path | None = None,
-) -> ChaosOutcome:
-    """Kill a real ``mp-stream autotune`` run mid-trajectory, then resume.
-
-    The invariant is the tuner's: a resumed coordinate descent replays
-    restored evaluations from the journal and walks the *identical*
-    improvement trajectory the uninterrupted tuner walks.
-    """
-    from repro.core import autotune, optimal_loop_for
-
-    axes = axes or DEFAULT_AXES
-
-    def run_tuner(journal: SweepJournal | None) -> list[str]:
-        seed = TuningParameters(
-            array_bytes=parse_size(size), loop=optimal_loop_for(target)
-        )
-        out = autotune(
-            BenchmarkRunner(target, ntimes=ntimes),
-            axes,
-            seed=seed,
-            budget=budget,
-            backend=backend,
-            jobs=jobs,
-            journal=journal,
-            resume=journal is not None,
-        )
-        return [f"{desc} -> {bw:.9g}" for desc, bw in out.trajectory]
-
-    import tempfile
-
-    tmp = None
-    if workdir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="mp-stream-chaos-")
-        workdir = tmp.name
-    journal = Path(workdir) / f"chaos-autotune-{backend}.jsonl"
-
-    try:
-        baseline = run_tuner(None)
-        argv = autotune_child_argv(
-            journal,
-            target=target,
-            size=size,
-            ntimes=ntimes,
-            axes=axes,
-            backend=backend,
-            jobs=jobs,
-            budget=budget,
-        )
-        returncode, interrupted, records_at = _run_child(
-            argv, journal, mode="kill", kill_at=kill_at, timeout=timeout
-        )
-
-        notes: list[str] = []
-        if not interrupted:
-            notes.append(
-                f"tuner was never interrupted (returncode {returncode})"
-            )
-        elif returncode != -signal.SIGKILL:
-            notes.append(f"tuner exited {returncode}, expected -SIGKILL")
-
-        report = None
-        resumed: list[str] = []
-        restored = 0
-        if journal.exists():
-            report = fsck_journal(journal)
-            if report.corrupt or report.stale:
-                notes.append(
-                    f"crash left {report.corrupt} corrupt / {report.stale} "
-                    "stale record(s)"
-                )
-            resume_journal = SweepJournal(journal)
-            resumed = run_tuner(resume_journal)
-            restored = resume_journal.reused
-            if restored == 0:
-                notes.append("resume restored nothing from the journal")
-            if resumed != baseline:
-                notes.append(
-                    "resumed trajectory differs from the uninterrupted run"
-                )
-        else:
-            notes.append(f"tuner never created the journal {journal}")
-
-        return ChaosOutcome(
-            mode="autotune-kill",
-            backend=backend,
-            interrupted=interrupted,
-            returncode=returncode,
-            records_at_interrupt=records_at,
-            restored=restored,
-            fsck=report,
-            baseline=baseline,
-            resumed=resumed,
-            notes=notes,
-        )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-
-
-def search_child_argv(
-    journal: str | Path,
-    *,
-    target: str = DEFAULT_TARGET,
-    size: str = DEFAULT_SIZE,
-    ntimes: int = DEFAULT_NTIMES,
-    axes: dict | None = None,
-    backend: str = "process",
-    jobs: int = 2,
-    budget: int = 8,
-) -> list[str]:
-    """``mp-stream autotune --strategy multifidelity`` for the chaos child."""
-    argv = autotune_child_argv(
-        journal,
-        target=target,
-        size=size,
-        ntimes=ntimes,
-        axes=axes,
-        backend=backend,
-        jobs=jobs,
-        budget=budget,
-    )
-    return argv + ["--strategy", "multifidelity"]
 
 
 def run_search_chaos(
@@ -770,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
         description="kill a real campaign mid-sweep and verify lossless resume"
     )
     parser.add_argument("--mode",
-                        choices=("kill", "term", "torn", "autotune", "search"),
+                        choices=("kill", "term", "torn", "search"),
                         default="kill")
     parser.add_argument("--backend", default="serial",
                         choices=("serial", "thread", "process"))
@@ -788,17 +655,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     jobs = args.jobs if args.backend != "serial" else 1
-    if args.mode == "autotune":
-        outcome = run_autotune_chaos(
-            backend=args.backend,
-            jobs=jobs,
-            target=args.target,
-            size=args.size,
-            ntimes=args.ntimes,
-            kill_at=args.kill_at,
-            timeout=args.timeout,
-        )
-    elif args.mode == "search":
+    if args.mode == "search":
         outcome = run_search_chaos(
             backend=args.backend,
             jobs=jobs,
