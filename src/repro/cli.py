@@ -84,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the benchmark at one parameter point")
     _add_point_args(run)
+    _add_cache_arg(run)
     _add_obs_args(run)
     run.add_argument("--all-kernels", action="store_true", help="run all four kernels")
     run.add_argument("--ntimes", type=int, default=5)
@@ -100,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="cartesian design-space sweep")
     _add_point_args(sweep)
+    _add_cache_arg(sweep)
     _add_obs_args(sweep)
     sweep.add_argument(
         "--axis",
@@ -221,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(docs/AUTOTUNE.md)",
     )
     _add_point_args(tune)
+    _add_cache_arg(tune)
     _add_obs_args(tune)
     tune.add_argument(
         "--axis",
@@ -292,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "energy", help="energy-efficiency report for one parameter point"
     )
     _add_point_args(energy)
+    _add_cache_arg(energy)
     energy.add_argument("--ntimes", type=int, default=3)
 
     comp = sub.add_parser(
@@ -464,12 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--target", default="cpu", help="aocl|sdaccel|cpu|gpu")
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the compile/plan artifact cache (every point pays "
-        "the full front-end and device build)",
-    )
-    parser.add_argument(
         "--kernel", default="copy", choices=[k.value for k in KernelName]
     )
     parser.add_argument("--size", default="4MiB", help="bytes per array, e.g. 4MiB")
@@ -495,13 +493,15 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="measure host<->device (PCIe) streams instead of global memory",
     )
+
+
+def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
+    """For the commands that run points through a benchmark runner."""
     parser.add_argument(
-        "--exec-lane",
-        default="auto",
-        choices=["auto", "vectorized", "compiled", "interp"],
-        help="functional execution lane (default: auto = whole-NDRange "
-        "array lane, falling back to compiled closures, then the "
-        "interpreter); forcing a lane is a debugging/differential aid",
+        "--no-cache",
+        action="store_true",
+        help="disable the compile/plan artifact cache (every point pays "
+        "the full front-end and device build)",
     )
 
 
@@ -670,11 +670,10 @@ def _make_runner(args: argparse.Namespace, ntimes: int) -> BenchmarkRunner:
         args.target,
         ntimes=ntimes,
         verify=getattr(args, "verify", False),
-        cache=not getattr(args, "no_cache", False),
+        cache=not args.no_cache,
         faults=faults,
         watchdog=watchdog,
         retries=getattr(args, "retries", 2),
-        exec_lane=getattr(args, "exec_lane", "auto"),
     )
 
 

@@ -288,7 +288,6 @@ class WorkerSpec:
     retries: int
     backoff_s: float
     backoff_cap_s: float
-    exec_lane: str = "auto"
 
 
 class ExecutionEngine:
@@ -309,10 +308,7 @@ class ExecutionEngine:
         retries: int = 2,
         backoff_s: float = 0.05,
         backoff_cap_s: float = 1.0,
-        exec_lane: str = "auto",
     ):
-        from ..ocl.queue import EXEC_LANES
-
         if isinstance(device, str):
             device = find_device(device)
         if ntimes < 1:
@@ -321,10 +317,6 @@ class ExecutionEngine:
             raise BenchmarkError(f"warmup must be >= 0, got {warmup}")
         if retries < 0:
             raise BenchmarkError(f"retries must be >= 0, got {retries}")
-        if exec_lane not in EXEC_LANES:
-            raise BenchmarkError(
-                f"exec_lane must be one of {EXEC_LANES}, got {exec_lane!r}"
-            )
         self.device = device
         self.ntimes = ntimes
         self.warmup = warmup
@@ -342,7 +334,6 @@ class ExecutionEngine:
         self.retries = retries
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
-        self.exec_lane = exec_lane
         self._ctx: Context | None = None
         self._queue: CommandQueue | None = None
 
@@ -366,7 +357,6 @@ class ExecutionEngine:
             retries=self.retries,
             backoff_s=self.backoff_s,
             backoff_cap_s=self.backoff_cap_s,
-            exec_lane=self.exec_lane,
         )
 
     def worker_spec(self) -> WorkerSpec:
@@ -383,7 +373,6 @@ class ExecutionEngine:
             retries=self.retries,
             backoff_s=self.backoff_s,
             backoff_cap_s=self.backoff_cap_s,
-            exec_lane=self.exec_lane,
         )
 
     @classmethod
@@ -407,7 +396,6 @@ class ExecutionEngine:
             retries=spec.retries,
             backoff_s=spec.backoff_s,
             backoff_cap_s=spec.backoff_cap_s,
-            exec_lane=spec.exec_lane,
         )
 
     # -- public API -----------------------------------------------------------
@@ -888,7 +876,6 @@ class ExecutionEngine:
             self._ctx = Context(self.device)
             self._queue = CommandQueue(self._ctx, self.device)
         assert self._queue is not None
-        self._queue.exec_lane = self.exec_lane
         self._queue.reset_profile()
         return self._ctx, self._queue
 

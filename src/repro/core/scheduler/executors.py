@@ -388,6 +388,7 @@ def _process_worker_main(
     spec: "WorkerSpec",
     watchdog: "Watchdog | None",
     telemetry: bool,
+    parent_end: "multiprocessing.connection.Connection | None",
 ) -> None:
     """One worker process: rebuild a sibling engine, serve tasks.
 
@@ -412,7 +413,14 @@ def _process_worker_main(
     ``os._exit`` *before* the point runs — no flush, no goodbye, the
     parent only notices the pipe going dead. That is deliberate: the
     requeue path must not depend on a dying worker's cooperation.
+
+    Under ``fork`` the worker inherits the parent's end of its own pipe
+    as ``parent_end`` and closes it first: holding it open would keep
+    ``conn.recv()`` from ever seeing EOF, so a worker whose parent was
+    killed would block forever instead of exiting.
     """
+    if parent_end is not None:
+        parent_end.close()
     # under a fork start method the child inherits the parent's live
     # obs sinks; writing to them from here would interleave with the
     # parent, so a worker first resets them — then installs its own
@@ -551,9 +559,11 @@ class _ProcessSession(_SessionBase):
 
     def _spawn(self, slot: int) -> _ProcessWorker:
         parent_conn, child_conn = self._ctx.Pipe()
+        # a forked child inherits the parent end; it must close it
+        inherited = parent_conn if self._ctx.get_start_method() == "fork" else None
         proc = self._ctx.Process(
             target=_process_worker_main,
-            args=(child_conn, self._spec, self._watchdog, self._telemetry),
+            args=(child_conn, self._spec, self._watchdog, self._telemetry, inherited),
             daemon=True,
         )
         proc.start()

@@ -2,10 +2,11 @@
 
 The queue is where functional simulation and performance modelling
 meet: ``enqueue_nd_range_kernel`` *executes* the kernel on the numpy
-buffers (specialized fast path, interpreter fallback) so results can be
-validated, and *times* it by asking the device model — then stamps an
-:class:`~repro.ocl.events.Event` with virtual-clock timestamps, which is
-exactly what the benchmark's host code measures.
+buffers (array lane, with compiled-closure and interpreter fallbacks)
+so results can be validated, and *times* it by asking the device
+model — then stamps an :class:`~repro.ocl.events.Event` with
+virtual-clock timestamps, which is exactly what the benchmark's host
+code measures.
 
 Two scheduling modes, as in OpenCL:
 
@@ -40,24 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from .context import Context
     from .platform import Device
 
-__all__ = ["CommandQueue", "EXEC_LANES"]
+__all__ = ["CommandQueue"]
 
 _ENGINES = ("compute", "h2d", "d2h")
 
-#: valid :attr:`CommandQueue.exec_lane` settings and the fallback chain
-#: each implies. ``auto`` prefers the whole-NDRange array lane, drops to
-#: compiled closures when a kernel (or a launch) is ineligible, and to
-#: the tree-walking interpreter as the total fallback; the forced
-#: settings exist for debugging/differential testing and still end at
-#: the interpreter, which executes everything.
-_LANE_ORDER: dict[str, tuple[str, ...]] = {
-    "auto": ("vectorized", "compiled", "interpreted"),
-    "vectorized": ("vectorized", "interpreted"),
-    "compiled": ("compiled", "interpreted"),
-    "interp": ("interpreted",),
-}
-
-EXEC_LANES = tuple(_LANE_ORDER)
+#: the functional lanes, in fallback order: the whole-NDRange array
+#: lane first, compiled closures when a kernel (or a launch) is
+#: ineligible, and the tree-walking interpreter, which executes
+#: everything, as the total fallback
+_LANES = ("vectorized", "compiled", "interpreted")
 
 
 class CommandQueue:
@@ -85,8 +77,6 @@ class CommandQueue:
         #: per-point command/byte counters; reset by :meth:`reset_profile`
         self.counters: dict[str, float] = self._fresh_counters()
         self._specialized_cache: dict[tuple[int, str], object] = {}
-        #: execution-lane preference, one of :data:`EXEC_LANES`
-        self.exec_lane: str = "auto"
         #: set by :meth:`external_execution`: functional results already
         #: live in the buffers, so :meth:`_execute` must not re-run
         self._skip_execute = False
@@ -352,14 +342,6 @@ class CommandQueue:
             return pointee.dtype
         raise InvalidValueError(f"cannot derive dtype for parameter {name!r}")
 
-    def _lane_order(self) -> tuple[str, ...]:
-        order = _LANE_ORDER.get(self.exec_lane)
-        if order is None:
-            raise InvalidValueError(
-                f"exec_lane must be one of {EXEC_LANES}, got {self.exec_lane!r}"
-            )
-        return order
-
     @staticmethod
     def _runner_lane(runner: object) -> str:
         from ..oclc.compile import CompiledKernel
@@ -402,11 +384,10 @@ class CommandQueue:
             return
         checked = kernel.program.checked
         assert checked is not None
-        order = self._lane_order()
         cache_key = (id(checked), kernel.name)
         runner = self._specialized_cache.get(cache_key)
-        if runner is None or self._runner_lane(runner) not in order:
-            runner = self._build_runner(checked, kernel.name, order)
+        if runner is None:
+            runner = self._build_runner(checked, kernel.name, _LANES)
             self._specialized_cache[cache_key] = runner
         while True:
             lane = self._runner_lane(runner)
@@ -417,7 +398,7 @@ class CommandQueue:
                 # The launch shape/arguments turned out unsupported at
                 # run time: demote to the next lane and retry. The
                 # interpreter is total, so the chain terminates.
-                remaining = order[order.index(lane) + 1 :]
+                remaining = _LANES[_LANES.index(lane) + 1 :]
                 if not remaining:
                     raise
                 runner = self._build_runner(checked, kernel.name, remaining)

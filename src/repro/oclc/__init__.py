@@ -5,7 +5,7 @@ Typical pipeline::
     from repro.oclc import compile_source
     checked = compile_source(src, defines={"ARRAY_SIZE": "1024"})
     ir = analyze(checked)            # device models consume this
-    fast = specialize(checked)       # vectorized functional execution
+    fast = vectorize_kernel(checked) # whole-NDRange array execution
     fast.run((1024,), {...})
 
 :func:`compile_source_cached` is the memoized entry point sweep

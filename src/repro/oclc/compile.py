@@ -1,13 +1,14 @@
 """Compiled-to-closures execution of analyzable kernels.
 
-:class:`~repro.oclc.specialize.SpecializedKernel` already evaluates a
-kernel body vectorized over its whole iteration domain, but it re-walks
-the AST on *every* launch: node dispatch, ``type_of`` lookups, operator
-table indexing and swizzle decoding all repeat per run. This module
-compiles the same extracted body **once** into a flat list of Python
-closures — every type, operator ufunc, builtin binding and swizzle index
-is resolved at compile time — so a launch is just the domain binding
-plus one closure call per statement.
+This lane evaluates a kernel body vectorized over its whole iteration
+domain, like the array lane (:mod:`repro.oclc.vectorize`), but without
+that lane's launch plans: it is the fallback for kernels and launches
+the array lane refuses (an index that reads buffer contents or scalar
+arguments, arguments aliased across the read/write split). It compiles
+the body :func:`~repro.oclc.specialize.specialize` extracts **once**
+into a flat list of Python closures — every type, operator ufunc,
+builtin binding and swizzle index is resolved at compile time — so a
+launch is just the domain binding plus one closure call per statement.
 
 The semantics are shared, not re-implemented: every closure calls the
 module-level primitives of :mod:`repro.oclc.specialize`

@@ -3,8 +3,8 @@
 Executes every work-item of an NDRange sequentially against numpy
 buffers, with C/OpenCL evaluation semantics (wrap-around integer
 arithmetic on fixed-width types, truncating division, elementwise
-vector operations). This is the *semantic reference*: the fast
-vectorized execution path (:mod:`repro.oclc.specialize`) is validated
+vector operations). This is the *semantic reference*: the array lanes
+(:mod:`repro.oclc.vectorize`, :mod:`repro.oclc.compile`) are validated
 against it, and the device performance models never touch data at all.
 
 Floating-point association: binary operators evaluate as per-element
@@ -125,7 +125,7 @@ class KernelInterpreter:
         if total > MAX_INTERPRETED_OPS:
             raise InterpError(
                 f"refusing to interpret {total} work-items "
-                f"(cap {MAX_INTERPRETED_OPS}); use the specialized path"
+                f"(cap {MAX_INTERPRETED_OPS}); use an array lane"
             )
         base_env = self._bind_args(args)
         ndim = len(global_size)

@@ -9,12 +9,13 @@ integer indexing. For a STREAM kernel those overheads dwarf the four
 vector ops the launch actually performs — and a sweep repeats the same
 launch shape at many grid points.
 
-:class:`VectorKernel` is the third driver over the same specializer
-semantics (one implementation, three drivers: interpret /
-compiled-scalar / vectorized-array). It exploits one observation: in an
-analyzable kernel every load/store **index** is a pure function of the
-iteration domain — ``gid0``, counted-loop variables and constants —
-never of buffer contents or scalar arguments. So indices can be
+:class:`VectorKernel` drives the same specializer semantics as the
+compiled lane (one implementation of the vectorized primitives, two
+drivers; the interpreter is their oracle). It exploits one
+observation: in an analyzable kernel every load/store **index** is a
+pure function of the iteration domain — ``gid0``, counted-loop
+variables and constants — never of buffer contents or scalar
+arguments. So indices can be
 evaluated *once per launch shape*, bounds-checked once, and lowered to
 native strided slices whenever they are affine in the flattened domain
 (``c[gid] = a[gid]`` becomes ``c_view[0:N:1] = a_view[0:N:1]``, no index

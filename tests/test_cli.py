@@ -143,6 +143,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mpstream_triad" in out and "int4" in out
 
+    def test_source_rejects_no_cache(self, capsys):
+        # `source` only generates text: it builds nothing to cache
+        with pytest.raises(SystemExit) as exc:
+            main(["source", "--no-cache"])
+        assert exc.value.code == 2
+        assert "--no-cache" in capsys.readouterr().err
+
     def test_host_stream(self, capsys):
         code = main(["host-stream", "--size", "1MiB", "--ntimes", "1"])
         assert code == 0

@@ -32,7 +32,7 @@ from repro.memsim import (
     coalesce_sequential,
     coalesce_sequential_batch,
 )
-from repro.oclc import compile_kernel, compile_source_cached, specialize
+from repro.oclc import compile_kernel, compile_source_cached, vectorize_kernel
 from repro.oclc.interp import BufferArg
 from repro.verify.conformance import (
     _VARIANT_AXES,
@@ -210,5 +210,5 @@ def test_compiled_fingerprints_match_interpreter_all_variants(kernel, dtype):
 def test_compiled_matches_specialized_double():
     for params in variant_grid(KernelName.ADD, DataType.DOUBLE, 2048):
         compiled = output_checksum(_run_lane(params, compile_kernel))
-        specialized = output_checksum(_run_lane(params, specialize))
-        assert compiled == specialized, params.describe()
+        vectorized = output_checksum(_run_lane(params, vectorize_kernel))
+        assert compiled == vectorized, params.describe()

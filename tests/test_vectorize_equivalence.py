@@ -27,6 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.oclc.compile as oclc_compile
+import repro.oclc.vectorize as oclc_vectorize
+from repro.cli import main
 from repro.core import explore
 from repro.core.engine import ExecutionEngine
 from repro.core.generator import generate
@@ -41,10 +44,9 @@ from repro.core.params import (
 )
 from repro.core.runner import BenchmarkRunner
 from repro.core.sweep import ParameterSweep
-from repro.errors import BenchmarkError, UnsupportedKernelError
+from repro.errors import UnsupportedKernelError
 from repro.faults import FAULT_SITES, FaultPlan, FaultSpec, InjectedLaunchFault
 from repro.obs import metrics as obs_metrics
-from repro.ocl.queue import EXEC_LANES
 from repro.oclc import compile_kernel, compile_source_cached, vectorize_kernel
 from repro.oclc.interp import BufferArg
 from repro.verify.conformance import (
@@ -187,20 +189,58 @@ def _engine(**kw) -> ExecutionEngine:
     return ExecutionEngine("cpu", **kw)
 
 
+#: the queue's functional lanes, in its fallback order
+LANES = ("vectorized", "compiled", "interpreted")
+
+#: where the queue looks up the factory of each lane above the interpreter
+_FACTORIES = {
+    "vectorized": (oclc_vectorize, "vectorize_kernel"),
+    "compiled": (oclc_compile, "compile_kernel"),
+}
+_REAL_FACTORIES = {
+    lane: getattr(module, attr) for lane, (module, attr) in _FACTORIES.items()
+}
+
+
+def _refuse(*_args, **_kwargs):
+    raise UnsupportedKernelError("lane disabled by the test")
+
+
+@pytest.fixture
+def force_lane(monkeypatch):
+    """``force_lane(lane)`` makes every lane above ``lane`` refuse every
+    kernel, so the queue's ladder lands on ``lane``."""
+
+    def force(lane: str) -> None:
+        above = LANES[: LANES.index(lane)]
+        for name, (module, attr) in _FACTORIES.items():
+            factory = _refuse if name in above else _REAL_FACTORIES[name]
+            monkeypatch.setattr(module, attr, factory)
+
+    return force
+
+
 class TestEngineLanes:
-    def test_fingerprints_identical_across_exec_lanes(self):
+    def test_fingerprints_identical_across_exec_lanes(self, force_lane):
         params = TuningParameters(array_bytes=64 * KIB, vector_width=4)
-        prints = {
-            lane: _engine(exec_lane=lane).run(params).fingerprint()
-            for lane in EXEC_LANES
-        }
+        prints = {}
+        for lane in LANES:
+            force_lane(lane)
+            reg = obs_metrics.MetricsRegistry()
+            with obs_metrics.use_registry(reg):
+                prints[lane] = _engine().run(params).fingerprint()
+            assert reg.snapshot()["counters"].get(f"fastpath.runs.{lane}") == 1
         assert len(set(prints.values())) == 1, prints
 
     def test_unknown_lane_rejected(self):
-        with pytest.raises(BenchmarkError, match="exec_lane"):
-            _engine(exec_lane="simd")
-        with pytest.raises(BenchmarkError, match="exec_lane"):
-            BenchmarkRunner("cpu", exec_lane="turbo")
+        # the lane is not a setting: no constructor or command takes one
+        with pytest.raises(TypeError, match="exec_lane"):
+            _engine(exec_lane="auto")
+        with pytest.raises(TypeError, match="exec_lane"):
+            BenchmarkRunner("cpu", exec_lane="auto")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--exec-lane", "auto"])
+        assert exc.value.code == 2
 
 
 
@@ -219,8 +259,11 @@ class _SecondLaunchFault(FaultPlan):
                 raise InjectedLaunchFault("flaky kernel launch")
 
 
-#: (exec_lane, the lane name its runs are counted under)
-COUNTED_LANES = [("vectorized", "vectorized"), ("interp", "interpreted")]
+#: the lanes whose launches are counted, under stable test ids
+COUNTED_LANES = [
+    pytest.param("vectorized", id="vectorized-vectorized"),
+    pytest.param("interpreted", id="interp-interpreted"),
+]
 
 
 class TestOneFunctionalPass:
@@ -232,19 +275,20 @@ class TestOneFunctionalPass:
             result = engine.run(self.POINT)
         return result, reg.snapshot()["counters"]
 
-    @pytest.mark.parametrize("lane, counted", COUNTED_LANES)
-    def test_each_attempt_executes_the_kernel_once(self, lane, counted):
-        engine = _engine(exec_lane=lane, warmup=2, ntimes=3)
+    @pytest.mark.parametrize("lane", COUNTED_LANES)
+    def test_each_attempt_executes_the_kernel_once(self, lane, force_lane):
+        force_lane(lane)
+        engine = _engine(warmup=2, ntimes=3)
         result, counters = self._counted_run(engine)
         assert result.ok and result.validated
-        assert counters.get(f"fastpath.runs.{counted}") == 1
+        assert counters.get(f"fastpath.runs.{lane}") == 1
         assert counters.get("fastpath.runs.primed") == 2 + 3 - 1
 
-    @pytest.mark.parametrize("lane, counted", COUNTED_LANES)
-    def test_retry_executes_again_on_fresh_buffers(self, lane, counted):
-        clean = _engine(exec_lane=lane, warmup=2, ntimes=3).run(self.POINT)
+    @pytest.mark.parametrize("lane", COUNTED_LANES)
+    def test_retry_executes_again_on_fresh_buffers(self, lane, force_lane):
+        force_lane(lane)
+        clean = _engine(warmup=2, ntimes=3).run(self.POINT)
         engine = _engine(
-            exec_lane=lane,
             warmup=2,
             ntimes=3,
             faults=_SecondLaunchFault(),
@@ -254,7 +298,7 @@ class TestOneFunctionalPass:
         assert result.detail["engine"]["attempts"] == 2
         # attempt 0 ran the kernel once and failed on its next launch;
         # attempt 1 ran it again on its own buffers
-        assert counters.get(f"fastpath.runs.{counted}") == 2
+        assert counters.get(f"fastpath.runs.{lane}") == 2
         assert counters.get("fastpath.runs.primed") == 2 + 3 - 1
         assert result.fingerprint() == clean.fingerprint()
 

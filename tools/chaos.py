@@ -30,6 +30,12 @@ end-to-end proof against a **real operating-system process**:
 4. resume the campaign in-process from the survivor journal and
    compare its ordered fingerprints against the baseline.
 
+The child runs in its own session, so everything it starts (the
+process backend's workers) shares its process group. A scenario also
+fails when any live process of that group outlives the child by
+``SURVIVOR_GRACE_S`` seconds; whatever is left is then SIGKILLed, so
+even a failing run leaks nothing.
+
 Used by ``tests/test_chaos.py`` (as a library) and the CI chaos smoke
 job (as a CLI). Run from the repository root::
 
@@ -107,6 +113,9 @@ EXIT_INTERRUPTED = 130
 _JOURNAL_SITES = ("journal_write", "journal_fsync", "disk_full")
 
 _POLL_S = 0.015
+
+#: how long the child's process group may outlive the child
+SURVIVOR_GRACE_S = 10.0
 
 
 def strip_journal_faults(faults: FaultPlan | None) -> FaultPlan | None:
@@ -295,6 +304,44 @@ class ChaosOutcome:
         return "\n".join(lines)
 
 
+def _group_members(pgid: int) -> list[int]:
+    """Pids of the live (non-zombie) processes in process group ``pgid``.
+
+    Reads ``/proc``; where there is none, reports nothing.
+    """
+    proc_root = Path("/proc")
+    if not proc_root.is_dir():  # pragma: no cover - non-Linux hosts
+        return []
+    members = []
+    for entry in proc_root.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # exited while we looked
+            continue
+        # after the parenthesised command name: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2 :].split()[:3]
+        if state != "Z" and int(pgrp) == pgid:
+            members.append(int(entry.name))
+    return sorted(members)
+
+
+def _reap_group(pgid: int, grace: float = SURVIVOR_GRACE_S) -> list[int]:
+    """Give the exited child's process group ``grace`` seconds to empty,
+    then SIGKILL it. Returns the pids still alive when the grace ran out."""
+    deadline = time.monotonic() + grace
+    survivors = _group_members(pgid)
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.1)
+        survivors = _group_members(pgid)
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        pass
+    return survivors
+
+
 def _run_child(
     argv: list[str],
     journal: Path,
@@ -302,10 +349,12 @@ def _run_child(
     mode: str,
     kill_at: int,
     timeout: float,
-) -> tuple[int | None, bool, int]:
+) -> tuple[int | None, bool, int, list[int]]:
     """Run the subprocess, interrupting per ``mode``.
 
-    Returns ``(returncode, interrupted, records_when_interrupted)``.
+    Returns ``(returncode, interrupted, records_when_interrupted,
+    survivors)``, where ``survivors`` lists the processes of the
+    child's group that outlived it by :data:`SURVIVOR_GRACE_S`.
     """
     proc = subprocess.Popen(
         argv,
@@ -313,6 +362,7 @@ def _run_child(
         env=child_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     sig = {"kill": signal.SIGKILL, "term": signal.SIGTERM}.get(mode)
     fired = False
@@ -330,7 +380,7 @@ def _run_child(
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
-            return proc.returncode, fired, records_at
+            return proc.returncode, fired, records_at, _reap_group(proc.pid)
     finally:
         if proc.poll() is None:  # pragma: no cover - emergency cleanup
             proc.kill()
@@ -338,7 +388,16 @@ def _run_child(
         # the child interrupts itself: death by injected torn write
         fired = proc.returncode == TORN_WRITE_EXIT_CODE
         records_at = journal_records(journal)
-    return proc.returncode, fired, records_at
+    return proc.returncode, fired, records_at, _reap_group(proc.pid)
+
+
+def _survivor_note(survivors: list[int]) -> list[str]:
+    if not survivors:
+        return []
+    return [
+        f"{len(survivors)} process(es) of the child's group outlived it "
+        f"by {SURVIVOR_GRACE_S:g} s (pids {survivors}; now SIGKILLed)"
+    ]
 
 
 def run_chaos(
@@ -395,11 +454,11 @@ def run_chaos(
             jobs=jobs,
             faults_spec=faults_spec,
         )
-        returncode, interrupted, records_at = _run_child(
+        returncode, interrupted, records_at, survivors = _run_child(
             argv, journal, mode=mode, kill_at=kill_at, timeout=timeout
         )
 
-        notes: list[str] = []
+        notes = _survivor_note(survivors)
         expected = {
             "kill": -signal.SIGKILL,
             "term": EXIT_INTERRUPTED,
@@ -580,11 +639,11 @@ def run_search_chaos(
             jobs=jobs,
             budget=budget,
         )
-        returncode, interrupted, records_at = _run_child(
+        returncode, interrupted, records_at, survivors = _run_child(
             argv, journal, mode="kill", kill_at=kill_at, timeout=timeout
         )
 
-        notes: list[str] = []
+        notes = _survivor_note(survivors)
         if not interrupted:
             notes.append(
                 f"search was never interrupted (returncode {returncode})"
