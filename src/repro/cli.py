@@ -21,7 +21,6 @@ from typing import Sequence
 
 from . import figures, obs
 from .core import (
-    BACKENDS,
     AccessPattern,
     BenchmarkRunner,
     CampaignScheduler,
@@ -122,14 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run sweep points on N workers (results stay in grid order)",
-    )
-    sweep.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="execution backend for sweep points (default: thread when "
-        "--jobs > 1, else serial); 'process' survives worker crashes",
+        help="run sweep points on N crash-surviving worker processes; "
+        "1 runs them in-process (results stay in grid order)",
     )
     sweep.add_argument(
         "--max-worker-restarts",
@@ -256,15 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="evaluate each rung's candidates on N workers "
+        help="evaluate each rung's candidates on N worker processes "
         "(the trajectory is unchanged)",
-    )
-    tune.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="execution backend for evaluations (default: thread when "
-        "--jobs > 1, else serial)",
     )
     tune.add_argument(
         "--journal",
@@ -724,7 +710,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # scheduler handle is kept so crash/requeue counters can be shown
         scheduler = CampaignScheduler(
             runner,
-            backend=args.backend,
             jobs=args.jobs,
             journal=journal,
             resume=args.resume,
@@ -916,7 +901,6 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
             eta=args.eta,
             refine=not args.no_refine,
             jobs=args.jobs,
-            backend=args.backend,
             journal=journal,
             resume=args.resume,
             resume_or_start=args.resume_or_start,

@@ -58,7 +58,6 @@ from .scheduler import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from .search import (
@@ -94,7 +93,6 @@ __all__ = [
     "BACKENDS",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
     "FaultPlan",

@@ -40,10 +40,11 @@ the cache outcome of the compile and plan stages. Campaign-wide
 counters live on :attr:`ExecutionEngine.stats` /
 :meth:`ExecutionEngine.stats_snapshot`.
 
-Concurrency: one engine owns one context/queue and is *not* re-entrant,
-but :meth:`worker_clone` derives sibling engines that share the build
-cache and the stats sink — the parallel sweep executor gives each
-worker thread its own clone.
+Concurrency: one engine owns one context/queue and is *not* re-entrant.
+A parallel campaign runs each worker process on a sibling engine rebuilt
+from :meth:`ExecutionEngine.worker_spec`; the siblings' stats and
+build-cache counters are folded back into this engine's
+:attr:`~ExecutionEngine.stats` with every point outcome.
 
 Resilience: transient failures (marked with the
 :class:`~repro.errors.TransientError` mixin — injected by a
@@ -92,7 +93,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..ocl import Buffer, CommandQueue, Context, Program
 from ..ocl.platform import Device, find_device
-from ..ocl.program import BuildCache
+from ..ocl.program import CACHE_COUNTERS, BuildCache
 from ..rng import make_rng
 from .generator import GeneratedKernel, generate
 from .history import point_fingerprint
@@ -163,8 +164,13 @@ class _PointBudget:
 class EngineStats:
     """Campaign-wide stage timing and point counters.
 
-    Shared (thread-safely) between an engine and its worker clones, so
-    a parallel sweep aggregates into one place.
+    A parallel campaign's worker processes each count into their own
+    sink and ship deltas home (:meth:`merge_snapshot`), so the parent's
+    sink aggregates the whole campaign. ``worker_cache`` holds the
+    build-cache counters those deltas carry: the workers' private
+    caches are invisible to the parent's own
+    :class:`~repro.ocl.program.BuildCache`. The lock keeps reads from
+    the obs server's thread consistent.
     """
 
     def __init__(self) -> None:
@@ -173,6 +179,7 @@ class EngineStats:
         self.points = 0
         self.failures = 0
         self.retries = 0
+        self.worker_cache: dict[str, int] = dict.fromkeys(CACHE_COUNTERS, 0)
 
     def record_point(self, stage_s: dict[str, float], ok: bool) -> None:
         with self._lock:
@@ -199,35 +206,42 @@ class EngineStats:
                 "points": self.points,
                 "failures": self.failures,
                 "retries": self.retries,
+                **self.worker_cache,
                 "stage_s": dict(self.stage_s),
             }
 
     def merge_snapshot(
         self, snapshot: dict[str, object], *, mirror_metrics: bool = True
     ) -> None:
-        """Fold another stats sink's :meth:`snapshot` into this one.
+        """Fold a worker's stats delta (the shape of :meth:`snapshot`) in.
 
-        Worker *threads* share the sink directly, but worker *processes*
-        (the scheduler's process backend) each accumulate into their own
-        and ship incremental deltas home with every point outcome — this
-        is the receiving end. With ``mirror_metrics=True`` the merged
-        counters are also mirrored into the obs metrics registry in bulk
-        so ``--metrics`` totals stay correct; pass ``False`` when the
-        worker's own metric counts already arrive via the telemetry
-        relay (:mod:`repro.obs.relay`), which would double-count them.
+        Worker processes (the scheduler's process backend) each
+        accumulate into their own sink and ship incremental deltas home
+        with every point outcome — this is the receiving end. With
+        ``mirror_metrics=True`` the merged counters are also mirrored
+        into the obs metrics registry in bulk so ``--metrics`` totals
+        stay correct; pass ``False`` when the worker's own metric counts
+        already arrive via the telemetry relay (:mod:`repro.obs.relay`),
+        which would double-count them.
         """
         points = int(snapshot.get("points", 0) or 0)
         failures = int(snapshot.get("failures", 0) or 0)
         retries = int(snapshot.get("retries", 0) or 0)
+        cache = {name: int(snapshot.get(name, 0) or 0) for name in CACHE_COUNTERS}
         stage_s = snapshot.get("stage_s") or {}
         with self._lock:
             self.points += points
             self.failures += failures
             self.retries += retries
+            for name, count in cache.items():
+                self.worker_cache[name] += count
             for name, seconds in stage_s.items():  # type: ignore[union-attr]
                 self.stage_s[name] = self.stage_s.get(name, 0.0) + float(seconds)
         if not mirror_metrics:
             return
+        for name, count in cache.items():
+            if count:
+                obs_metrics.count(f"build_cache.{name}", count)
         if points:
             obs_metrics.count("engine.points", points)
         if failures:
@@ -265,11 +279,10 @@ class _StageClock:
 class WorkerSpec:
     """A picklable recipe for rebuilding a sibling engine elsewhere.
 
-    :meth:`ExecutionEngine.worker_clone` hands a worker *thread* a
-    sibling sharing the live cache and stats objects; a worker
-    *process* cannot share either, so the scheduler's process backend
-    ships this spec across the ``fork``/``spawn`` boundary instead and
-    calls :meth:`ExecutionEngine.from_worker_spec` on the far side.
+    A worker *process* cannot share the parent engine's live build
+    cache or stats sink, so the scheduler's process backend ships this
+    spec across the ``fork``/``spawn`` boundary and calls
+    :meth:`ExecutionEngine.from_worker_spec` on the far side.
     Faults travel as the declarative :class:`~repro.faults.FaultSpec`
     (the executable :class:`~repro.faults.FaultPlan` is rebuilt from it,
     and is a pure function of the spec, so fault decisions are
@@ -302,7 +315,6 @@ class ExecutionEngine:
         validate: bool = True,
         verify: bool = False,
         cache: BuildCache | bool = True,
-        stats: EngineStats | None = None,
         faults: FaultPlan | None = None,
         watchdog: Watchdog | None = None,
         retries: int = 2,
@@ -328,7 +340,7 @@ class ExecutionEngine:
             self.cache = None
         else:
             self.cache = cache
-        self.stats = stats if stats is not None else EngineStats()
+        self.stats = EngineStats()
         self.faults = faults
         self.watchdog = watchdog
         self.retries = retries
@@ -340,24 +352,6 @@ class ExecutionEngine:
     @property
     def target(self) -> str:
         return self.device.short_name
-
-    def worker_clone(self) -> "ExecutionEngine":
-        """A sibling engine for another thread: shares the build cache
-        and the stats sink, owns a fresh context/queue."""
-        return ExecutionEngine(
-            self.device,
-            ntimes=self.ntimes,
-            warmup=self.warmup,
-            validate=self.validate,
-            verify=self.verify,
-            cache=self.cache if self.cache is not None else False,
-            stats=self.stats,
-            faults=self.faults,
-            watchdog=self.watchdog,
-            retries=self.retries,
-            backoff_s=self.backoff_s,
-            backoff_cap_s=self.backoff_cap_s,
-        )
 
     def worker_spec(self) -> WorkerSpec:
         """This engine's configuration as a picklable :class:`WorkerSpec`."""
@@ -515,18 +509,17 @@ class ExecutionEngine:
         return [self.run(params.with_(kernel=k)) for k in KERNELS]
 
     def stats_snapshot(self) -> dict[str, object]:
-        """Campaign counters: stage seconds, points, cache hits/misses."""
+        """Campaign counters: stage seconds, points, cache hits/misses.
+
+        The cache counters add this engine's own build cache to what
+        worker processes reported for theirs, so a campaign reads the
+        same totals on either backend.
+        """
         out = self.stats.snapshot()
-        if self.cache is not None:
-            out.update(self.cache.stats())
-        else:
-            out.update(
-                frontend_hits=0,
-                frontend_misses=0,
-                plan_hits=0,
-                plan_misses=0,
-                frontend_entries=0,
-            )
+        local = self.cache.stats() if self.cache is not None else {}
+        out["frontend_entries"] = local.pop("frontend_entries", 0)
+        for name, count in local.items():
+            out[name] += count  # type: ignore[operator]
         return out
 
     # -- stages -----------------------------------------------------------------

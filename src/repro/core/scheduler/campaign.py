@@ -6,7 +6,7 @@ deduplication by :func:`~repro.core.history.point_fingerprint`,
 journal-backed checkpoint/resume, the worker-crash requeue policy,
 progress callbacks, and the campaign's obs events/spans/metrics.
 Execution itself is delegated to an :class:`~repro.core.scheduler.executors.Executor`
-(serial / thread / process — see :mod:`repro.core.scheduler.executors`),
+(serial / process — see :mod:`repro.core.scheduler.executors`),
 so :func:`repro.core.sweep.explore`,
 :func:`repro.core.search.multifidelity_search` and the CLI are all thin
 clients of one scheduling engine.
@@ -73,8 +73,8 @@ __all__ = ["CampaignScheduler"]
 class CampaignScheduler:
     """Orchestrates one campaign's points through a pluggable executor.
 
-    ``backend`` picks an executor by name (``serial|thread|process``);
-    ``None`` keeps the historical auto-selection — threads when
+    ``backend`` pins an executor by name (``serial|process``); ``None``
+    derives it from ``jobs`` — ``jobs`` worker processes when
     ``jobs > 1`` and there is more than one point to run, serial
     otherwise. Pass ``executor=`` to inject a custom
     :class:`~repro.core.scheduler.executors.Executor` instead.
@@ -483,10 +483,10 @@ class CampaignScheduler:
             return self.executor
         if self.backend is not None:
             return make_executor(self.backend, jobs=self.jobs)
-        # historical auto-selection: threads only when they can help
+        # a worker pool only when there is parallel work for it
         if self.jobs == 1 or todo <= 1:
             return make_executor("serial")
-        return make_executor("thread", jobs=self.jobs)
+        return make_executor("process", jobs=self.jobs)
 
     def _finish(
         self,

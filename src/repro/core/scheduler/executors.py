@@ -6,16 +6,12 @@ owns *where* it runs. The contract is deliberately small — an executor
 opens a session, the scheduler ``submit()``\\ s :class:`Task`\\ s into it
 and pulls :class:`Outcome`\\ s back out in completion order — so new
 backends (an MPI rank pool, a remote build farm) slot in without
-touching campaign semantics. Three implementations ship:
+touching campaign semantics. Two implementations ship, and the
+scheduler picks between them from ``jobs`` alone:
 
 :class:`SerialExecutor`
     Runs points inline on the scheduler's engine — the classic
-    single-threaded sweep. No clones, no queues, no surprises.
-:class:`ThreadExecutor`
-    A pool of worker threads, each driving its own
-    :meth:`~repro.core.engine.ExecutionEngine.worker_clone` (private
-    context/queue, shared content-addressed build cache and stats
-    sink). This is the historical ``explore(jobs=N)`` behavior.
+    single-threaded sweep. No workers, no queues, no surprises.
 :class:`ProcessExecutor`
     A pool of worker *processes*, each rebuilding a sibling engine from
     the parent's picklable :meth:`~repro.core.engine.ExecutionEngine.worker_spec`.
@@ -27,21 +23,21 @@ touching campaign semantics. Three implementations ship:
     point as a crash :class:`Outcome` for the scheduler to requeue.
     Worker engines cannot share the in-process build cache, so each
     process warms its own. Per-worker
-    :class:`~repro.core.engine.EngineStats` deltas — and, when the
-    parent has live obs sinks, buffered telemetry batches
-    (:mod:`repro.obs.relay`) — ride home with *every point outcome*,
-    so even a worker that later crashes has already banked everything
-    but its in-flight point.
+    :class:`~repro.core.engine.EngineStats` deltas (build-cache
+    counters included) — and, when the parent has live obs sinks,
+    buffered telemetry batches (:mod:`repro.obs.relay`) — ride home
+    with *every point outcome*, so even a worker that later crashes has
+    already banked everything but its in-flight point.
 
 Worker crashes are *injectable*: the ``worker_crash`` fault site
 (:mod:`repro.faults`) is consulted once per ``(point, restarts)``
 before a point runs. In the process backend a firing fault hard-kills
 the worker with ``os._exit`` — no cleanup, a real death, exactly what a
-segfaulting toolchain does. The serial and thread backends cannot kill
-their host process, so they *simulate* the same death: the fault check
-uses the identical deterministic draw and surfaces the identical crash
+segfaulting toolchain does. The serial backend cannot kill its host
+process, so it *simulates* the same death: the fault check uses the
+identical deterministic draw and surfaces the identical crash
 :class:`Outcome`, which is what lets a campaign produce byte-identical
-results on every backend even under injected crashes.
+results on both backends even under injected crashes.
 """
 
 from __future__ import annotations
@@ -49,8 +45,6 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
-import queue
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -61,6 +55,7 @@ from ...obs import events as obs_events
 from ...obs import metrics as obs_metrics
 from ...obs import relay as obs_relay
 from ...obs import trace as obs_trace
+from ...ocl.program import CACHE_COUNTERS
 from ..history import (
     params_from_record,
     params_to_record,
@@ -80,13 +75,12 @@ __all__ = [
     "Outcome",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
 ]
 
 #: the execution backends ``make_executor`` knows how to build
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -255,104 +249,6 @@ class _SerialSession(_SessionBase):
 
 
 # --------------------------------------------------------------------------
-# threads
-# --------------------------------------------------------------------------
-
-
-class ThreadExecutor(Executor):
-    """A thread pool of engine worker clones (shared cache and stats)."""
-
-    name = "thread"
-
-    def __init__(self, jobs: int = 2):
-        if jobs < 1:
-            raise SweepError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def session(self, engine: object, *, watchdog: "Watchdog | None" = None):
-        return _ThreadSession(engine, watchdog, self.jobs)
-
-
-class _ThreadSession(_SessionBase):
-    def __init__(self, engine: object, watchdog: "Watchdog | None", jobs: int):
-        self._engine = engine
-        self._watchdog = watchdog
-        self._tasks: "queue.Queue[Task | None]" = queue.Queue()
-        self._outcomes: "queue.Queue[Outcome]" = queue.Queue()
-        self._threads = [
-            threading.Thread(
-                target=self._worker, name=f"sweep-worker-{i}", daemon=True
-            )
-            for i in range(jobs)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def _worker(self) -> None:
-        clone: object | None = None
-        while True:
-            task = self._tasks.get()
-            if task is None:
-                return
-            if clone is None:
-                clone = self._engine.worker_clone()  # type: ignore[attr-defined]
-            if _injected_crash(clone, task):
-                self._outcomes.put(Outcome.crash(task))
-                continue
-            try:
-                result = clone.run(task.params, watchdog=self._watchdog)  # type: ignore[attr-defined]
-            except Exception as exc:
-                self._outcomes.put(
-                    Outcome.bug(task, f"{type(exc).__name__}: {exc}", exc)
-                )
-                continue
-            self._outcomes.put(Outcome.done(task, result))
-
-    def submit(self, task: Task) -> None:
-        self._tasks.put(task)
-
-    def next_outcome(self) -> Outcome:
-        return self._outcomes.get()
-
-    def cancel_pending(self) -> list[Task]:
-        # tasks already claimed by a worker thread are in flight and
-        # keep running; only the queue backlog is withdrawable
-        cancelled: list[Task] = []
-        try:
-            while True:
-                task = self._tasks.get_nowait()
-                if task is not None:  # don't eat shutdown sentinels
-                    cancelled.append(task)
-        except queue.Empty:
-            pass
-        return cancelled
-
-    def worker_status(self) -> list[dict[str, object]]:
-        return [
-            {
-                "worker": thread.name,
-                "pid": os.getpid(),
-                "alive": thread.is_alive(),
-                "point": "",
-            }
-            for thread in self._threads
-        ]
-
-    def close(self) -> None:
-        # drop queued-but-unstarted work (the cancel_futures analogue),
-        # then let each worker drain one sentinel and exit
-        try:
-            while True:
-                self._tasks.get_nowait()
-        except queue.Empty:
-            pass
-        for _ in self._threads:
-            self._tasks.put(None)
-        for thread in self._threads:
-            thread.join(timeout=10.0)
-
-
-# --------------------------------------------------------------------------
 # processes
 # --------------------------------------------------------------------------
 
@@ -361,25 +257,25 @@ class _ThreadSession(_SessionBase):
 CRASH_EXIT_CODE = 3
 
 
-def _stats_delta(current: dict, last: dict) -> dict:
-    """The increment between two :class:`EngineStats` snapshots.
+#: the integer counters of a stats snapshot a worker ships home
+_DELTA_COUNTERS = ("points", "failures", "retries", *CACHE_COUNTERS)
 
-    ``last`` is updated in place, so successive calls ship disjoint
-    deltas — the parent folds every one and never double-counts.
+
+def _stats_delta(current: dict, last: dict) -> dict:
+    """The increment between two engine stats snapshots.
+
+    ``current`` is an :meth:`~repro.core.engine.ExecutionEngine.stats_snapshot`
+    (engine stats plus the worker's build-cache counters). ``last`` is
+    updated in place, so successive calls ship disjoint deltas — the
+    parent folds every one and never double-counts.
     """
-    delta = {
-        "points": current["points"] - last["points"],
-        "failures": current["failures"] - last["failures"],
-        "retries": current["retries"] - last["retries"],
-        "stage_s": {
-            name: seconds - last["stage_s"].get(name, 0.0)
-            for name, seconds in current["stage_s"].items()
-        },
+    last_stage = last.get("stage_s", {})
+    delta = {name: current[name] - last.get(name, 0) for name in _DELTA_COUNTERS}
+    delta["stage_s"] = {
+        name: seconds - last_stage.get(name, 0.0)
+        for name, seconds in current["stage_s"].items()
     }
-    last["points"] = current["points"]
-    last["failures"] = current["failures"]
-    last["retries"] = current["retries"]
-    last["stage_s"] = dict(current["stage_s"])
+    last.update(current)
     return delta
 
 
@@ -435,10 +331,10 @@ def _process_worker_main(
     from ..engine import ExecutionEngine
 
     engine = ExecutionEngine.from_worker_spec(spec)
-    last_stats = {"points": 0, "failures": 0, "retries": 0, "stage_s": {}}
+    last_stats: dict = {}
 
     def flush() -> tuple[dict, dict | None]:
-        delta = _stats_delta(engine.stats.snapshot(), last_stats)
+        delta = _stats_delta(engine.stats_snapshot(), last_stats)
         return delta, (sinks.drain() if sinks is not None else None)
 
     try:
@@ -730,13 +626,11 @@ class _ProcessSession(_SessionBase):
 
 
 def make_executor(backend: str, *, jobs: int = 1) -> Executor:
-    """Build an executor by backend name (``serial|thread|process``)."""
+    """Build an executor by backend name (``serial|process``)."""
     if jobs < 1:
         raise SweepError(f"jobs must be >= 1, got {jobs}")
     if backend == "serial":
         return SerialExecutor()
-    if backend == "thread":
-        return ThreadExecutor(jobs)
     if backend == "process":
         return ProcessExecutor(jobs)
     raise SweepError(

@@ -29,8 +29,8 @@ computed from *values*, never from completion order. The searcher is a
 thin :class:`~repro.core.scheduler.CampaignScheduler` client exactly
 like ``explore()``: measured rungs are scheduler batches, so journaling
 and ``resume=`` (restored evaluations still count against the budget —
-that is what keeps a resumed trajectory identical), serial/thread/
-process backends, and crash-requeue all come for free.
+that is what keeps a resumed trajectory identical), serial and
+worker-process backends, and crash-requeue all come for free.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ def multifidelity_search(
     ``ceil(n/eta)`` survivors per rung); ``refine=False`` spends the
     whole budget on halving.
 
-    Scheduling semantics are ``explore()``'s: ``jobs``/``backend``
-    parallelize each rung, ``journal``/``resume`` checkpoint every
+    Scheduling semantics are ``explore()``'s: ``jobs > 1`` runs each
+    rung on its own pool of ``jobs`` worker processes, ``journal``/``resume`` checkpoint every
     measured evaluation (restored evaluations count against ``budget``,
     so a resumed search replays an identical trajectory). The
     trajectory is backend- and parallelism-independent by construction.

@@ -11,12 +11,9 @@ Execution is delegated to the campaign scheduler
 (:mod:`repro.core.scheduler`): :func:`explore` builds the grid and
 hands it to a :class:`~repro.core.scheduler.CampaignScheduler`, which
 owns ordering, dedup, journaling, crash/requeue policy and
-instrumentation, and runs the points on a pluggable backend —
-``backend="serial"``, ``"thread"`` (``jobs=N`` worker threads driving
-:meth:`~repro.core.engine.ExecutionEngine.worker_clone` siblings that
-share one build cache), or ``"process"`` (a worker-process pool that
-survives individual worker death). Whatever the backend or completion
-order, results come back in grid order with fingerprints identical to
+instrumentation, and runs the points inline (``jobs=1``) or on
+``jobs`` worker processes (a pool that survives individual worker
+death). Whatever the backend or completion order, results come back in grid order with fingerprints identical to
 the serial path; see ``docs/SCHEDULING.md`` for the backend matrix.
 
 Resilience: pass ``journal=`` to stream every completed point to a
@@ -129,9 +126,9 @@ def explore(
     a point list; ordering, dedup, journaling, crash policy and
     instrumentation belong to the scheduler.
 
-    ``backend`` selects where points run (``"serial"``, ``"thread"``,
-    ``"process"``); left ``None``, ``jobs > 1`` picks the thread
-    backend and ``jobs=1`` runs serially. Results keep the grid's
+    ``jobs > 1`` runs the points on that many worker processes,
+    ``jobs=1`` runs them inline; ``backend`` (``"serial"`` or
+    ``"process"``) pins the choice instead. Results keep the grid's
     deterministic row-major order and per-point failure tolerance
     whatever the backend, and ``progress`` fires once per grid point in
     completion order (on the scheduler's thread — callbacks need no

@@ -46,7 +46,7 @@ Sites (see :data:`FAULT_SITES`):
     kill) — consulted by the campaign executors
     (:mod:`repro.core.scheduler.executors`), not by the engine's
     ``check()``: the process backend hard-kills the worker process,
-    serial/thread backends simulate the same death. The attempt number
+    the serial backend simulates the same death. The attempt number
     in the draw is the point's *restart count*, so requeue-then-succeed
     schedules are deterministic and backend-independent; exhausting the
     scheduler's restart budget records a permanent ``"worker_crash"``

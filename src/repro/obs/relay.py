@@ -1,8 +1,8 @@
 """Cross-process telemetry relay: buffering worker sinks, parent merge.
 
 The process executor's workers used to start with observability off —
-under ``--backend process`` every engine-stage span, memsim counter and
-per-point event from a child was silently dropped. The relay closes
+under ``--jobs N`` every engine-stage span, memsim counter and
+per-point event from a worker process was silently dropped. The relay closes
 that gap with the same sink contract the rest of :mod:`repro.obs`
 uses, split across the pipe:
 

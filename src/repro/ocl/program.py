@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Program", "BuildCache"]
 
 
+#: the hit/miss counters :meth:`BuildCache.stats` reports
+CACHE_COUNTERS = ("frontend_hits", "frontend_misses", "plan_hits", "plan_misses")
+
+
 class BuildCache:
     """Content-addressed build artifacts for one campaign.
 
@@ -50,19 +54,17 @@ class BuildCache:
     retrying an FPGA configuration that does not fit skips the
     re-estimation and re-raises the recorded :class:`BuildError`.
 
-    All methods are thread-safe; one instance is shared across the
-    parallel sweep executor's worker engines.
+    All methods are thread-safe (the obs server's thread reads the
+    counters mid-campaign). Each engine owns one instance; a parallel
+    campaign's worker processes each warm their own, and their counters
+    reach the parent through
+    :meth:`~repro.core.engine.EngineStats.merge_snapshot`.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._checked: dict[tuple, "CheckedProgram"] = {}
-        self._counters = {
-            "frontend_hits": 0,
-            "frontend_misses": 0,
-            "plan_hits": 0,
-            "plan_misses": 0,
-        }
+        self._counters = dict.fromkeys(CACHE_COUNTERS, 0)
 
     # -- stages ------------------------------------------------------------------
 

@@ -122,8 +122,8 @@ def compile_source_cached(
 
     Thread-safe; the process-wide memo is bounded (oldest entries are
     evicted first). ``CheckedProgram`` artifacts are immutable after
-    checking, so sharing one instance across callers — and across sweep
-    worker threads — is safe.
+    checking, so sharing one instance across callers — and across
+    threads — is safe.
     """
     key = frontend_key(source, defines)
     with _frontend_lock:

@@ -5,7 +5,8 @@ sweep``/``autotune`` as a **real subprocess**, interrupts it mid-sweep
 (``kill -9``, SIGTERM, or an injected torn journal append), fscks the
 survivor journal, resumes in-process and compares ordered result
 fingerprints against an uninterrupted run. One scenario per backend
-runs in tier 1; more live behind ``--runslow``.
+(``jobs=1`` in-process, ``jobs=2`` worker processes) runs in tier 1;
+more live behind ``--runslow``.
 
 The invariant under test is docs/SCHEDULING.md's crash-consistency
 contract: a campaign killed at *any* instant resumes from its journal
@@ -40,9 +41,7 @@ def baseline() -> list[str]:
 
 class TestKillNine:
     def test_process_backend_kill9_resumes_identically(self, baseline):
-        out = run_chaos(
-            mode="kill", backend="process", jobs=2, baseline=baseline
-        )
+        out = run_chaos(mode="kill", jobs=2, baseline=baseline)
         assert out.ok, out.describe()
         assert out.interrupted and out.returncode == -9
         assert out.restored > 0
@@ -51,16 +50,16 @@ class TestKillNine:
 
     @pytest.mark.slow
     def test_serial_backend_kill9_resumes_identically(self, baseline):
-        out = run_chaos(mode="kill", backend="serial", baseline=baseline)
+        out = run_chaos(mode="kill", baseline=baseline)
         assert out.ok, out.describe()
 
     @pytest.mark.slow
     def test_thread_backend_kill9_with_worker_crashes(self):
-        # engine faults ride along: a worker_crash failure is a data
-        # point, and the resumed campaign must reproduce it exactly
+        # engine faults ride along and really kill worker processes: a
+        # worker_crash failure is a data point, and the resumed campaign
+        # must reproduce it exactly
         out = run_chaos(
             mode="kill",
-            backend="thread",
             jobs=2,
             faults_spec="worker_crash=0.4,seed=11",
         )
@@ -71,7 +70,7 @@ class TestTornWrite:
     def test_torn_append_resumes_identically(self, baseline):
         # the child dies *mid-journal-append* (injected journal_write
         # tear + hard exit 5): the worst crash a power loss produces
-        out = run_chaos(mode="torn", backend="serial", baseline=baseline)
+        out = run_chaos(mode="torn", baseline=baseline)
         assert out.ok, out.describe()
         assert out.returncode == 5
         # the tear leaves exactly one unterminated prefix, never a
@@ -84,9 +83,9 @@ class TestTornWrite:
 
 class TestGracefulShutdown:
     def test_sigterm_drains_and_exits_130(self, baseline):
-        out = run_chaos(
-            mode="term", backend="thread", jobs=2, baseline=baseline
-        )
+        # SIGTERM reaches the parent; its worker processes finish the
+        # points in flight before the drain checkpoints the journal
+        out = run_chaos(mode="term", jobs=2, baseline=baseline)
         assert out.ok, out.describe()
         assert out.returncode == 130
         # a graceful drain checkpoints cleanly: no torn tail at all
@@ -99,7 +98,7 @@ class TestSearchChaos:
     def test_search_kill9_replays_identical_trajectory(self):
         """A multi-fidelity search killed mid-rung resumes to the same
         rung fingerprints, trajectory hash, and winning point."""
-        out = run_search_chaos(backend="process", jobs=2)
+        out = run_search_chaos(jobs=2)
         assert out.ok, out.describe()
         assert out.interrupted and out.returncode == -9
         assert out.restored > 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -111,11 +113,12 @@ class TestCommands:
         out = capsys.readouterr().out
         # the campaign summary: point/job/skip counts and cache counters
         assert (
-            "3 point(s) on 2 job(s) (thread backend), "
+            "3 point(s) on 2 job(s) (process backend), "
             "0 invalid point(s) skipped" in out
         )
-        # NDRange sizes share one front-end pass; repeats are tagged
-        assert "front-end 2 hit/1 miss" in out
+        # NDRange sizes share one front-end pass per worker process:
+        # each of the two workers misses once, the third point hits
+        assert "front-end 1 hit/2 miss" in out
         assert "[cached front-end]" in out
         assert "stage wall time:" in out
 
@@ -377,7 +380,8 @@ class TestSchedulerFlags:
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["sweep"])
-        assert args.backend is None
+        assert args.jobs == 1
+        assert not hasattr(args, "backend")
         assert args.max_worker_restarts == 2
         assert args.durable_journal is False
 
@@ -396,14 +400,32 @@ class TestSchedulerFlags:
             build_parser().parse_args(["sweep", "--backend", "mpi"])
 
     def test_process_backend_smoke(self, capsys):
-        code = main(self.SWEEP + ["--jobs", "2", "--backend", "process"])
+        # --jobs alone picks the worker-process pool, and the workers'
+        # build-cache counters reach the summary line
+        code = main(self.SWEEP + ["--jobs", "2"])
         assert code == 0
-        assert "(process backend)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(process backend)" in out
+        hits, misses = re.search(
+            r"front-end (\d+) hit/(\d+) miss", out
+        ).groups()
+        assert int(hits) + int(misses) == 2
 
     def test_serial_backend_overrides_jobs(self, capsys):
-        code = main(self.SWEEP + ["--jobs", "4", "--backend", "serial"])
+        # one point to run never pays for a worker pool
+        code = main(["sweep", "--target", "cpu", "--size", "64KiB",
+                     "--ntimes", "1", "--jobs", "4"])
         assert code == 0
-        assert "(serial backend)" in capsys.readouterr().out
+        assert "1 point(s) on 4 job(s) (serial backend)" in capsys.readouterr().out
+
+    def test_backend_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.SWEEP + ["--jobs", "2", "--backend", "process"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["autotune", "--target", "aocl", "--backend", "thread"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_crash_faults_reported_in_summary(self, tmp_path, capsys):
         journal = tmp_path / "crash.jsonl"

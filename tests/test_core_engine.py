@@ -19,6 +19,7 @@ import pytest
 from repro.core import (
     BenchmarkRunner,
     BuildCache,
+    EngineStats,
     ExecutionEngine,
     KernelName,
     LoopManagement,
@@ -263,39 +264,20 @@ class TestParallelExplore:
         seen: list[str] = []
 
         def progress(result) -> None:
-            # explore serializes progress under a lock, so a plain list is safe
+            # progress fires on the scheduler's thread, so a plain list is safe
             seen.append(result.params.describe())
 
         explore(BenchmarkRunner("cpu", ntimes=1), self._sweep(), jobs=4, progress=progress)
         assert len(seen) == 12
-
-    def test_workers_share_one_cache(self):
-        runner = BenchmarkRunner("cpu", ntimes=1)
-        explore(runner, self._sweep(), jobs=4)
-        warm_start = runner.engine.stats_snapshot()
-        explore(runner, self._sweep(), jobs=4)
-        warm_end = runner.engine.stats_snapshot()
-        assert warm_end["points"] == 24
-        # the second campaign is satisfied entirely from the shared cache
-        assert warm_end["frontend_misses"] == warm_start["frontend_misses"]
-        assert warm_end["frontend_hits"] == warm_start["frontend_hits"] + 12
 
     def test_jobs_validation(self):
         with pytest.raises(SweepError):
             explore(BenchmarkRunner("cpu", ntimes=1), self._sweep(), jobs=0)
 
 
-class TestWorkerClone:
-    def test_clone_shares_cache_and_stats(self, small_params):
-        engine = _engine("aocl")
-        clone = engine.worker_clone()
-        assert clone.cache is engine.cache
-        assert clone.stats is engine.stats
-        assert clone.device is engine.device
-        engine.run(small_params)
-        cloned_result = clone.run(small_params)
-        assert cloned_result.detail["engine"]["frontend_cache"] == "hit"
-
-    def test_clone_of_uncached_engine_stays_uncached(self):
-        engine = _engine("cpu", cache=False)
-        assert engine.worker_clone().cache is None
+class TestEngineStats:
+    def test_stats_sink_is_not_injectable(self):
+        # every engine owns its sink; worker processes fold theirs in
+        # through EngineStats.merge_snapshot
+        with pytest.raises(TypeError, match="stats"):
+            ExecutionEngine("cpu", stats=EngineStats())

@@ -437,15 +437,12 @@ class TestVerifyResume:
 
 
 class TestWorkerCrash:
-    def test_crash_cancels_pool_and_names_point(self):
-        class BombEngine:
-            target = "cpu"
+    def test_crash_cancels_pool_and_names_point(self, monkeypatch):
+        # the engine bug raises inside the worker processes: run() is
+        # patched before the pool forks, so every worker inherits it
+        def bomb(self, params, *, watchdog=None):
+            raise RuntimeError("engine bug")
 
-            def worker_clone(self):
-                return self
-
-            def run(self, params, *, watchdog=None):
-                raise RuntimeError("engine bug")
-
+        monkeypatch.setattr(ExecutionEngine, "run", bomb)
         with pytest.raises(SweepError, match=r"grid point \d+ .*engine bug"):
-            explore(BombEngine(), _sweep(), jobs=2)
+            explore(BenchmarkRunner("cpu", ntimes=1), _sweep(), jobs=2)

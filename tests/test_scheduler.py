@@ -2,7 +2,7 @@
 
 The acceptance criterion for the whole layer is *differential*: a
 campaign's :class:`ResultSet` must be fingerprint-identical whichever
-backend ran it — serial, thread pool, or a process pool whose workers
+backend ran it — serial, or a process pool of any size whose workers
 are being killed mid-point by injected ``worker_crash`` faults — and
 across a mid-sweep kill/resume. Everything else here (restart budgets,
 dedup, durable journals, progress-error containment, stats merge) is
@@ -26,7 +26,7 @@ from repro.core import (
     explore,
     make_executor,
 )
-from repro.core.scheduler import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.core.scheduler import BACKENDS, ProcessExecutor, SerialExecutor
 from repro.errors import SweepError, WorkerCrashError, failure_kind
 from repro.faults import FaultPlan
 from repro.units import KIB
@@ -83,11 +83,12 @@ def _find_requeue_seed() -> str:
 
 class TestDifferentialBackends:
     def test_serial_thread_process_identical(self):
+        # neither the backend nor the pool size may move a fingerprint
         serial = explore(_engine(), _sweep(), backend="serial")
-        thread = explore(_engine(), _sweep(), jobs=3, backend="thread")
+        wide = explore(_engine(), _sweep(), jobs=3, backend="process")
         process = explore(_engine(), _sweep(), jobs=2, backend="process")
-        assert len(serial) == len(thread) == len(process) == 6
-        assert _fps(serial) == _fps(thread) == _fps(process)
+        assert len(serial) == len(wide) == len(process) == 6
+        assert _fps(serial) == _fps(wide) == _fps(process)
         assert [r.params for r in serial] == [r.params for r in process]
 
     def test_identical_under_injected_crashes(self):
@@ -96,10 +97,9 @@ class TestDifferentialBackends:
             backend: explore(
                 _engine(spec), _sweep(), jobs=2, backend=backend
             )
-            for backend in ("serial", "thread", "process")
+            for backend in BACKENDS
         }
         baseline = _fps(runs["serial"])
-        assert _fps(runs["thread"]) == baseline
         assert _fps(runs["process"]) == baseline
 
     def test_crash_survivors_match_faultless_run(self):
@@ -139,7 +139,7 @@ class TestDifferentialBackends:
 class TestResume:
     def test_mid_sweep_resume_per_backend(self, tmp_path):
         fresh = explore(_engine(), _sweep())
-        for backend in ("serial", "thread", "process"):
+        for backend in BACKENDS:
             journal = SweepJournal(tmp_path / f"{backend}.jsonl")
             partial = ParameterSweep(
                 base=TuningParameters(array_bytes=32 * KIB),
@@ -197,17 +197,26 @@ class TestSchedulerPolicy:
             with pytest.raises(SweepError, match="jobs must be >= 1"):
                 CampaignScheduler(_engine(), jobs=jobs)
         with pytest.raises(SweepError, match="jobs must be >= 1"):
-            make_executor("thread", jobs=0)
+            make_executor("process", jobs=0)
 
     def test_restart_budget_validation(self):
         with pytest.raises(SweepError, match="max_worker_restarts"):
             CampaignScheduler(_engine(), max_worker_restarts=-1)
 
     def test_backend_validation(self):
+        assert BACKENDS == ("serial", "process")
         with pytest.raises(SweepError, match="unknown execution backend"):
             CampaignScheduler(_engine(), backend="mpi")
         with pytest.raises(SweepError, match="unknown execution backend"):
             make_executor("mpi")
+        # a backend that does not exist is an error listing those that do
+        valid = "valid: serial, process"
+        with pytest.raises(SweepError, match=valid):
+            make_executor("thread", jobs=2)
+        with pytest.raises(SweepError, match=valid):
+            CampaignScheduler(_engine(), backend="thread")
+        with pytest.raises(SweepError, match=valid):
+            explore(_engine(), _sweep(), jobs=2, backend="thread")
         with pytest.raises(SweepError, match="not both"):
             CampaignScheduler(
                 _engine(), backend="serial", executor=SerialExecutor()
@@ -216,7 +225,7 @@ class TestSchedulerPolicy:
     def test_auto_backend_selection(self):
         sched = CampaignScheduler(_engine(), jobs=4)
         sched.run(list(_sweep().points()))
-        assert sched.backend_used == "thread"
+        assert sched.backend_used == "process"
         sched = CampaignScheduler(_engine())
         sched.run(list(_sweep().points()))
         assert sched.backend_used == "serial"
@@ -255,12 +264,9 @@ class TestSchedulerPolicy:
         assert len(calls) == 6  # still called for every point
         assert scheduler.progress_errors == 6
 
-    def test_engine_bug_still_aborts_campaign(self):
+    def test_engine_bug_still_aborts_campaign(self, monkeypatch):
         class BombEngine:
             target = "gpu"
-
-            def worker_clone(self):
-                return self
 
             def run(self, params, *, watchdog=None):
                 raise RuntimeError("engine bug")
@@ -269,6 +275,15 @@ class TestSchedulerPolicy:
             CampaignScheduler(BombEngine(), backend="serial").run(
                 list(_sweep().points())
             )
+
+        # the same bug raised inside a worker process: patched before
+        # the pool forks, so every worker engine inherits it
+        def bomb(self, params, *, watchdog=None):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(ExecutionEngine, "run", bomb)
+        with pytest.raises(SweepError, match=r"grid point \d+ .*engine bug"):
+            CampaignScheduler(_engine(), jobs=2).run(list(_sweep().points()))
 
     def test_worker_crash_failure_kind_taxonomy(self):
         assert failure_kind(WorkerCrashError("boom")) == "worker_crash"
@@ -309,6 +324,18 @@ class TestProcessExecutor:
             assert process_stats[counter] == serial_stats[counter], counter
         assert process_stats["points"] == 6
 
+    def test_worker_cache_counters_reach_parent(self):
+        """Each worker warms a private build cache; its hit/miss counts
+        ride home with the stats deltas, so the parent reports every
+        executed point's front-end lookup and a cache hit rate."""
+        engine = _engine()
+        scheduler = CampaignScheduler(engine, backend="process", jobs=2)
+        scheduler.run(list(_sweep().points()))
+        stats = engine.stats_snapshot()
+        assert stats["frontend_hits"] + stats["frontend_misses"] == 6
+        assert stats["plan_hits"] + stats["plan_misses"] == 6
+        assert scheduler.health_snapshot().cache_hit_rate is not None
+
     def test_worker_status_reports_liveness(self):
         engine = _engine()
         executor = ProcessExecutor(jobs=2)
@@ -333,7 +360,7 @@ class TestProcessExecutor:
 
     def test_executor_names_and_factory(self):
         assert make_executor("serial").name == "serial"
-        assert isinstance(make_executor("thread", jobs=3), ThreadExecutor)
+        assert isinstance(make_executor("process", jobs=3), ProcessExecutor)
         assert make_executor("process", jobs=2).jobs == 2
 
 
@@ -360,21 +387,21 @@ class TestSearchThroughScheduler:
 
     def test_trajectory_identical_across_backends(self):
         serial = self._search(BenchmarkRunner("aocl", ntimes=1))
-        threaded = self._search(
-            BenchmarkRunner("aocl", ntimes=1), jobs=3, backend="thread"
+        wide = self._search(
+            BenchmarkRunner("aocl", ntimes=1), jobs=3, backend="process"
         )
         process = self._search(
             BenchmarkRunner("aocl", ntimes=1), jobs=2, backend="process"
         )
         assert (
             serial.trajectory_fingerprint()
-            == threaded.trajectory_fingerprint()
+            == wide.trajectory_fingerprint()
             == process.trajectory_fingerprint()
         )
         assert serial.rung_fingerprints() == process.rung_fingerprints()
-        assert serial.best.fingerprint() == threaded.best.fingerprint()
+        assert serial.best.fingerprint() == wide.best.fingerprint()
         assert serial.best.fingerprint() == process.best.fingerprint()
-        assert serial.spent == threaded.spent == process.spent
+        assert serial.spent == wide.spent == process.spent
 
     def test_trajectory_identical_under_injected_faults(self):
         """Crash-killed workers and transient compile faults requeue/

@@ -39,11 +39,14 @@ even a failing run leaks nothing.
 Used by ``tests/test_chaos.py`` (as a library) and the CI chaos smoke
 job (as a CLI). Run from the repository root::
 
-    python tools/chaos.py --backend process --mode kill
-    python tools/chaos.py --backend serial --mode torn
-    python tools/chaos.py --backend thread --mode term \
+    python tools/chaos.py --jobs 2 --mode kill
+    python tools/chaos.py --mode torn
+    python tools/chaos.py --jobs 2 --mode term \
         --faults worker_crash=0.4,seed=11
-    python tools/chaos.py --backend process --mode search
+    python tools/chaos.py --jobs 2 --mode search
+
+``--jobs 1`` (the default) runs the campaign in-process; ``--jobs N``
+runs it on N worker processes, exactly as ``mp-stream`` picks.
 
 ``--mode search`` kills ``mp-stream autotune`` (the multi-fidelity
 search) mid-rung instead and compares rung fingerprints.
@@ -173,7 +176,6 @@ def child_argv(
     size: str = DEFAULT_SIZE,
     ntimes: int = DEFAULT_NTIMES,
     axes: dict | None = None,
-    backend: str = "serial",
     jobs: int = 1,
     faults_spec: str | None = None,
 ) -> list[str]:
@@ -192,8 +194,6 @@ def child_argv(
         "--journal",
         str(journal),
         "--durable-journal",
-        "--backend",
-        backend,
         "--jobs",
         str(jobs),
     ]
@@ -261,7 +261,7 @@ class ChaosOutcome:
     """Everything one chaos scenario observed, plus the verdict."""
 
     mode: str
-    backend: str
+    jobs: int
     interrupted: bool
     returncode: int | None
     records_at_interrupt: int
@@ -282,7 +282,7 @@ class ChaosOutcome:
 
     def describe(self) -> str:
         lines = [
-            f"chaos {self.mode} on {self.backend} backend:",
+            f"chaos {self.mode} on {self.jobs} job(s):",
             f"  child: returncode={self.returncode} "
             f"interrupted={self.interrupted} "
             f"journal records at interrupt={self.records_at_interrupt}",
@@ -403,7 +403,6 @@ def _survivor_note(survivors: list[int]) -> list[str]:
 def run_chaos(
     *,
     mode: str = "kill",
-    backend: str = "serial",
     jobs: int = 1,
     target: str = DEFAULT_TARGET,
     size: str = DEFAULT_SIZE,
@@ -429,7 +428,7 @@ def run_chaos(
     if workdir is None:
         tmp = tempfile.TemporaryDirectory(prefix="mp-stream-chaos-")
         workdir = tmp.name
-    journal = Path(workdir) / f"chaos-{mode}-{backend}.jsonl"
+    journal = Path(workdir) / f"chaos-{mode}-jobs{jobs}.jsonl"
 
     try:
         faults = FaultPlan.parse(faults_spec) if faults_spec else None
@@ -450,7 +449,6 @@ def run_chaos(
             size=size,
             ntimes=ntimes,
             axes=axes,
-            backend=backend,
             jobs=jobs,
             faults_spec=faults_spec,
         )
@@ -509,7 +507,6 @@ def run_chaos(
             results = explore(
                 runner,
                 _build_sweep(size, axes),
-                backend=backend,
                 jobs=jobs,
                 journal=resume_journal,
                 resume=True,
@@ -525,7 +522,7 @@ def run_chaos(
 
         return ChaosOutcome(
             mode=mode,
-            backend=backend,
+            jobs=jobs,
             interrupted=interrupted,
             returncode=returncode,
             records_at_interrupt=records_at,
@@ -547,7 +544,6 @@ def search_child_argv(
     size: str = DEFAULT_SIZE,
     ntimes: int = DEFAULT_NTIMES,
     axes: dict | None = None,
-    backend: str = "process",
     jobs: int = 2,
     budget: int = 8,
 ) -> list[str]:
@@ -568,8 +564,6 @@ def search_child_argv(
         "--journal",
         str(journal),
         "--durable-journal",
-        "--backend",
-        backend,
         "--jobs",
         str(jobs),
     ]
@@ -580,7 +574,6 @@ def search_child_argv(
 
 def run_search_chaos(
     *,
-    backend: str = "process",
     jobs: int = 2,
     target: str = DEFAULT_TARGET,
     size: str = DEFAULT_SIZE,
@@ -609,7 +602,6 @@ def run_search_chaos(
             axes,
             seed=seed,
             budget=budget,
-            backend=backend,
             jobs=jobs,
             journal=journal,
             resume=journal is not None,
@@ -625,7 +617,7 @@ def run_search_chaos(
     if workdir is None:
         tmp = tempfile.TemporaryDirectory(prefix="mp-stream-chaos-")
         workdir = tmp.name
-    journal = Path(workdir) / f"chaos-search-{backend}.jsonl"
+    journal = Path(workdir) / f"chaos-search-jobs{jobs}.jsonl"
 
     try:
         baseline = run_search(None)
@@ -635,7 +627,6 @@ def run_search_chaos(
             size=size,
             ntimes=ntimes,
             axes=axes,
-            backend=backend,
             jobs=jobs,
             budget=budget,
         )
@@ -676,7 +667,7 @@ def run_search_chaos(
 
         return ChaosOutcome(
             mode="search-kill",
-            backend=backend,
+            jobs=jobs,
             interrupted=interrupted,
             returncode=returncode,
             records_at_interrupt=records_at,
@@ -698,9 +689,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mode",
                         choices=("kill", "term", "torn", "search"),
                         default="kill")
-    parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"))
-    parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="run the campaign on N worker processes "
+                        "(default: 1, in-process)")
     parser.add_argument("--target", default=DEFAULT_TARGET)
     parser.add_argument("--size", default=DEFAULT_SIZE)
     parser.add_argument("--ntimes", type=int, default=DEFAULT_NTIMES)
@@ -713,11 +704,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--timeout", type=float, default=120.0)
     args = parser.parse_args(argv)
 
-    jobs = args.jobs if args.backend != "serial" else 1
     if args.mode == "search":
         outcome = run_search_chaos(
-            backend=args.backend,
-            jobs=jobs,
+            jobs=args.jobs,
             target=args.target,
             size=args.size,
             ntimes=args.ntimes,
@@ -727,8 +716,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         outcome = run_chaos(
             mode=args.mode,
-            backend=args.backend,
-            jobs=jobs,
+            jobs=args.jobs,
             target=args.target,
             size=args.size,
             ntimes=args.ntimes,

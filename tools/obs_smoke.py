@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Observability smoke: scrape a live campaign's exposition server.
 
-Launches a real ``mp-stream sweep --backend process --serve-obs 0``
-subprocess whose workers are being killed by injected ``worker_crash``
+Launches a real ``mp-stream sweep --jobs 2 --serve-obs 0`` subprocess
+whose two worker processes are being killed by injected ``worker_crash``
 faults, then — while the sweep is still running — scrapes ``/metrics``,
 ``/health`` and ``/campaign`` over HTTP and asserts:
 
@@ -43,7 +43,7 @@ SWEEP_ARGV = [
     "--axis", "vector_width=1,2,4,8",
     "--axis", "array_bytes=256KiB,512KiB",
     "--ntimes", "2",
-    "--jobs", "2", "--backend", "process",
+    "--jobs", "2",
     "--max-worker-restarts", "3",
     "--inject-faults", "worker_crash=0.6,seed=11",
     "--serve-obs", "0",
