@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 
+from ..memsim.cache import far_reuse_miss_fraction
 from ..memsim.controller import MemoryController, StreamDemand
 from ..oclc import KernelIR, LoopMode
 from .base import (
@@ -170,28 +171,19 @@ class CpuModel(DeviceModel):
             }
 
         stride = abs(p.stride_bytes) if p.stride_bytes else line
-        accesses_per_line = max(1, line // max(1, min(stride, line)))
-        effective_llc = spec.llc.capacity_bytes * (1.0 - 1.0 / (2 * spec.llc.ways))
-        reuse_fits = (
-            p.reuse_window_bytes is not None
-            and p.reuse_window_bytes <= effective_llc
-        )
         if stride >= line:
-            # column-walk revisits: a line holds line/element elements, so
-            # it is touched that many times, one reuse window apart; the
-            # revisits hit the LLC only if a full column of lines fits.
-            revisits_per_line = max(1, line // p.element_bytes)
-            if reuse_fits:
-                miss_fraction = 1.0 / revisits_per_line
-            else:
-                miss_fraction = 1.0
+            # column-walk revisits hit the LLC only if a full column of
+            # lines fits; a miss fetches every line the element spans
+            miss_fraction = far_reuse_miss_fraction(
+                p.reuse_window_bytes, p.element_bytes, spec.llc
+            )
             misses = useful / p.element_bytes * miss_fraction
-            dram_bytes = misses * line
+            dram_bytes = misses * max(line, p.element_bytes)
             llc_bytes = (1.0 - miss_fraction) * useful
             sequential = False
         else:
             # sub-line stride: spatial reuse within the line
-            miss_fraction = 1.0 / accesses_per_line
+            miss_fraction = 1.0 / (line // stride)
             dram_bytes = useful / p.element_bytes * miss_fraction * line
             llc_bytes = (1.0 - miss_fraction) * useful
             sequential = True

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 
+from ..memsim.cache import far_reuse_miss_fraction
 from ..oclc import KernelIR, LoopMode
 from .base import (
     AccessProfile,
@@ -159,21 +160,14 @@ class GpuModel(DeviceModel):
             return {"dram_tx": tx, "l2_tx": 0.0, "tlb_s": 0.0}
 
         # strided / irregular: one segment per access
-        line = spec.l2.line_bytes
-        revisits = max(1, (abs(p.stride_bytes) if p.stride_bytes else line) // p.element_bytes)
-        effective_l2 = spec.l2.capacity_bytes * (1.0 - 1.0 / (2 * spec.l2.ways))
-        reuse_fits = (
-            p.reuse_window_bytes is not None and p.reuse_window_bytes <= effective_l2
+        miss_fraction = far_reuse_miss_fraction(
+            p.reuse_window_bytes, p.element_bytes, spec.l2
         )
-        if reuse_fits:
-            miss_fraction = 1.0 / min(revisits, line // p.element_bytes)
-        else:
-            miss_fraction = 1.0
         dram_tx = n * miss_fraction
         l2_tx = n * (1.0 - miss_fraction)
 
         tlb_s = 0.0
-        stride = abs(p.stride_bytes) if p.stride_bytes else line
+        stride = abs(p.stride_bytes) if p.stride_bytes else spec.l2.line_bytes
         if stride >= 4096 and p.footprint_bytes > spec.tlb_reach_bytes:
             # page-walk pressure grows with how far past the reach we are
             levels = math.log2(p.footprint_bytes / spec.tlb_reach_bytes)

@@ -1,27 +1,23 @@
 """Memory-system simulation substrate.
 
-Building blocks the device models compose:
+Building blocks the device models compose, and the exact simulators
+that check them:
 
-* :mod:`repro.memsim.access` — vectorized address-stream generators;
-* :mod:`repro.memsim.cache` — exact set-associative LRU simulation plus
-  the analytic streaming-hit-ratio formulas the models use at scale
-  (validated against the exact simulator in the test suite);
+* :mod:`repro.memsim.cache` — the cache-reuse rule the CPU and GPU
+  models share (:func:`far_reuse_miss_fraction`) and the exact
+  set-associative LRU simulator that is its oracle;
 * :mod:`repro.memsim.coalesce` — grouping element accesses into memory
-  transactions (GPU warp coalescing, FPGA burst inference);
+  transactions (GPU warp coalescing, FPGA burst inference); the oracle
+  of the GPU model's segment count;
 * :mod:`repro.memsim.dram` — DRAM channel/bank/row-buffer timing;
+  :func:`simulate_dram` is the oracle of :func:`row_locality_efficiency`;
 * :mod:`repro.memsim.controller` — multi-stream arbitration/contention;
 * :mod:`repro.memsim.pcie` — the host↔device interconnect.
 """
 
 from __future__ import annotations
 
-from .access import (
-    contiguous_stream,
-    strided_stream,
-    column_major_stream,
-    to_byte_addresses,
-)
-from .cache import BATCH_THRESHOLD, Cache, CacheConfig, streaming_hit_ratio
+from .cache import BATCH_THRESHOLD, Cache, CacheConfig, far_reuse_miss_fraction
 from .coalesce import (
     CoalesceResult,
     coalesce_fixed_groups,
@@ -34,14 +30,10 @@ from .dram import DramSpec, DramTiming, simulate_dram, row_locality_efficiency
 from .pcie import PcieLink
 
 __all__ = [
-    "contiguous_stream",
-    "strided_stream",
-    "column_major_stream",
-    "to_byte_addresses",
     "BATCH_THRESHOLD",
     "Cache",
     "CacheConfig",
-    "streaming_hit_ratio",
+    "far_reuse_miss_fraction",
     "CoalesceResult",
     "coalesce_fixed_groups",
     "coalesce_fixed_groups_batch",

@@ -1,6 +1,4 @@
-"""Set-associative cache simulation, exact and analytic.
-
-Two tools with one contract:
+"""Set-associative cache simulation and the device models' reuse rule.
 
 * :class:`Cache` — an exact set-associative LRU simulator over byte
   address traces. It has two lanes with identical semantics: a per-set
@@ -12,13 +10,11 @@ Two tools with one contract:
   by trace size; ``tests/test_fastpath_equivalence.py`` proves the
   lanes agree bit-for-bit on stats, per-access miss masks and final
   LRU state across randomized geometries and traces.
-* :func:`streaming_hit_ratio` — closed-form hit ratios for the regular
-  access patterns STREAM produces (unit-stride and fixed-stride walks,
-  optionally repeated for multiple passes). The property tests check
-  this formula against :class:`Cache` on randomized small geometries.
-
-Device models use the analytic form at benchmark scale and stay exact
-in the regime that matters: whether the working set of a pass fits.
+* :func:`far_reuse_miss_fraction` — the one cache-reuse rule the CPU
+  and GPU models call for strided streams. :class:`Cache` is its
+  oracle: ``tests/test_memsim_oracles.py`` drives the exact simulator
+  with the full address stream of every Fig 2 strided point and pins
+  each cell where the two disagree, with its reason.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ __all__ = [
     "CacheConfig",
     "CacheStats",
     "Cache",
-    "streaming_hit_ratio",
+    "far_reuse_miss_fraction",
 ]
 
 #: trace length at which :meth:`Cache.access` switches to the batch lane
@@ -138,9 +134,9 @@ class Cache:
     ) -> tuple[CacheStats, np.ndarray]:
         """Like :meth:`access`, also returning the per-access miss mask.
 
-        ``mask[i]`` is True when access ``i`` missed; the hierarchy uses
-        it to build the line-granular miss stream for the next level
-        without re-simulating.
+        ``mask[i]`` is True when access ``i`` missed, so a caller can
+        tell which accesses of a trace reached the next level without
+        re-simulating.
         """
         set_idx, tags = self._split(addresses)
         if self._batch_eligible(set_idx, tags):
@@ -382,57 +378,20 @@ def _tables_to_sets(
     return sets
 
 
-def streaming_hit_ratio(
-    *,
-    footprint_bytes: int,
-    stride_bytes: int,
-    element_bytes: int,
-    config: CacheConfig,
-    passes: int = 1,
+def far_reuse_miss_fraction(
+    reuse_window_bytes: int | None, element_bytes: int, config: CacheConfig
 ) -> float:
-    """Analytic hit ratio of a fixed-stride walk over a footprint.
+    """Miss fraction of a strided stream whose lines come back once per window.
 
-    The walk touches ``footprint_bytes / element_bytes`` elements per
-    pass at byte stride ``stride_bytes`` (``== element_bytes`` means
-    unit stride), repeated ``passes`` times over the same footprint.
-
-    Three regimes:
-
-    * **spatial reuse** — with stride smaller than a line, a fraction
-      ``1 - stride/line`` of accesses hit the line fetched by a
-      predecessor, regardless of capacity;
-    * **temporal reuse** — if the distinct lines touched in one pass fit
-      in the cache (with an associativity-conflict allowance), every
-      pass after the first hits;
-    * **thrashing** — footprints beyond capacity get no temporal reuse
-      from prior passes (LRU on a cyclic walk evicts each line right
-      before its reuse).
+    The CPU and GPU models both decide cache reuse with this rule. A
+    column walk touches each line ``line/element`` times, one reuse
+    window apart (``repro.devices.base._reuse_window``). When the window
+    fits the cache, less an associativity allowance of half a way, only
+    the first touch of each line misses. Otherwise, or without far
+    reuse (``None``), every access misses. ``tests/test_memsim_oracles.py``
+    checks this rule against :class:`Cache` on the paper's strided grid.
     """
-    if passes < 1:
-        raise InvalidValueError(f"passes must be >= 1, got {passes}")
-    if element_bytes <= 0 or stride_bytes == 0:
-        raise InvalidValueError("element size and stride must be non-zero")
-    obs_metrics.count("memsim.cache.analytic_queries")
-    stride = abs(stride_bytes)
-    line = config.line_bytes
-    elements_per_pass = max(1, footprint_bytes // element_bytes)
-
-    # spatial hits within one pass
-    if stride < line:
-        accesses_per_line = max(1, line // stride)
-        spatial_hits = (accesses_per_line - 1) / accesses_per_line
-        distinct_lines = max(1, footprint_bytes // line)
-    else:
-        spatial_hits = 0.0
-        distinct_lines = elements_per_pass  # each access its own line
-
-    # temporal reuse across passes
-    working_set = distinct_lines * line
-    # a cyclic LRU walk needs a bit of slack to avoid conflict misses
-    effective_capacity = config.capacity_bytes * (1.0 - 1.0 / (2.0 * config.ways))
-    fits = working_set <= effective_capacity
-
-    first_pass_hits = spatial_hits
-    later_pass_hits = 1.0 if fits else spatial_hits
-    total = (first_pass_hits + (passes - 1) * later_pass_hits) / passes
-    return float(min(1.0, max(0.0, total)))
+    effective = config.capacity_bytes * (1.0 - 1.0 / (2 * config.ways))
+    if reuse_window_bytes is not None and reuse_window_bytes <= effective:
+        return 1.0 / max(1, config.line_bytes // element_bytes)
+    return 1.0

@@ -3,12 +3,12 @@
 Pillar 2 of the verification subsystem. Individual bandwidth numbers
 from a simulated device cannot be checked against silicon, but the
 *relations between* numbers can be checked against physics: these are
-executable property checks over the memsim layer and the full engine
-path, in the spirit of Zohouri & Matsuoka's trend validation of
-memory-interface models. Each law compares pairs of grid points and,
-on breach, emits a structured :class:`Violation` naming exactly which
-pair broke it — a metamorphic failure is a modelling bug report, not a
-stack trace.
+executable property checks over the device models' memory terms and
+the full engine path, in the spirit of Zohouri & Matsuoka's trend
+validation of memory-interface models. Each law compares pairs of grid
+points and, on breach, emits a structured :class:`Violation` naming
+exactly which pair broke it — a metamorphic failure is a modelling bug
+report, not a stack trace.
 
 Laws:
 
@@ -24,27 +24,30 @@ Laws:
 ``bytes_linear``
     Bytes moved must scale exactly linearly with array size at a fixed
     configuration.
-``service_time_stride`` / ``hit_rate_stride``
-    The analytic hierarchy's service time is monotone non-decreasing,
-    and the cache hit rate monotone non-*increasing*, in stride.
-``hit_rate_passes``
-    Re-walking the same footprint can only raise the hit rate.
+``dram_traffic_bounds``
+    The CPU and GPU models move between the useful bytes and whole
+    lines of them through DRAM (``useful <= dram <= useful *
+    max(1, line/element)``), for every pattern, dtype and width.
+``reuse_capacity`` / ``reuse_window``
+    The cache-reuse rule both models share
+    (:func:`~repro.memsim.cache.far_reuse_miss_fraction`) never misses
+    more in a doubled cache, nor less for a larger reuse window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from ..core.generator import generate
 from ..core.kernels import KERNELS, SCALAR_Q, initial_arrays
-from ..core.params import AccessPattern, KernelName, TuningParameters
+from ..core.params import AccessPattern, DataType, KernelName, TuningParameters
 from ..core.runner import BenchmarkRunner, optimal_loop_for
-from ..devices.base import BuildOptions
-from ..memsim import CacheConfig, streaming_hit_ratio
-from ..memsim.hierarchy import Hierarchy, Level
+from ..devices.base import BuildOptions, DeviceModel, ExecutionPlan, Launch
+from ..memsim import CacheConfig, far_reuse_miss_fraction
 from ..ocl import CommandQueue, Context, Program
 from ..ocl.platform import find_device
 from ..oclc import compile_source_cached
@@ -56,9 +59,9 @@ __all__ = [
     "check_content_invariance",
     "check_contiguous_vs_strided",
     "check_bytes_linear",
-    "check_service_time_stride",
-    "check_hit_rate_stride",
-    "check_hit_rate_passes",
+    "check_dram_traffic_bounds",
+    "check_reuse_capacity",
+    "check_reuse_window",
     "check_all",
 ]
 
@@ -295,137 +298,151 @@ def check_bytes_linear(
     )
 
 
-# -- analytic memsim laws ----------------------------------------------------
+# -- the CPU/GPU models' memory terms -----------------------------------------
 
 
-def _canonical_hierarchy() -> Hierarchy:
-    """A two-level geometry representative of the modelled devices."""
-    return Hierarchy(
-        [
-            Level("L1", CacheConfig(32 * 1024, 64, 8), bandwidth=1e12, latency=1e-9),
-            Level("L2", CacheConfig(512 * 1024, 64, 8), bandwidth=4e11, latency=5e-9),
-        ],
-        memory_bandwidth=5e10,
+def _model_launch(
+    target: str, params: TuningParameters
+) -> tuple[DeviceModel, ExecutionPlan, Launch]:
+    """The target's model, its plan for ``params`` and one launch of it."""
+    model = find_device(target).model
+    gen = generate(params)
+    defines = {k: str(v) for k, v in gen.defines.items()}
+    checked = compile_source_cached(gen.source, defines)
+    plan = model.build(checked, BuildOptions(defines=defines))
+    spec = KERNELS[params.kernel]
+    launch = Launch(
+        global_size=gen.global_size,
+        local_size=gen.local_size,
+        buffer_bytes={name: params.array_bytes for name in (*spec.reads, spec.writes)},
     )
+    return model, plan, launch
 
 
-def check_service_time_stride(
+def _model_detail(target: str, params: TuningParameters) -> dict:
+    """The device model's timing detail for one launch of ``params``."""
+    model, plan, launch = _model_launch(target, params)
+    return model.kernel_timing(plan, launch).detail
+
+
+def check_dram_traffic_bounds(
+    targets: Sequence[str] = ("cpu", "gpu"),
     *,
-    footprint_bytes: int = 1 << 20,
-    element_bytes: int = 8,
-    strides: Sequence[int] = (8, 16, 32, 64, 128, 256, 512),
+    sizes: Sequence[int] = (1024, 64 * 1024, 4 << 20),
+    widths: Sequence[int] = (1, 4, 16),
 ) -> LawReport:
-    """Hierarchy service time is monotone non-decreasing in stride."""
-    hierarchy = _canonical_hierarchy()
-    times = [
-        hierarchy.streaming_service_time(
-            footprint_bytes=footprint_bytes,
-            stride_bytes=stride,
-            element_bytes=element_bytes,
-        )
-        for stride in strides
-    ]
-    violations = []
-    for (s1, t1), (s2, t2) in zip(
-        zip(strides, times), zip(strides[1:], times[1:])
-    ):
-        if t2 < t1 * (1 - 1e-12):
-            violations.append(
-                Violation(
-                    law="service_time_stride",
-                    left=f"stride={s1}B over {footprint_bytes}B",
-                    right=f"stride={s2}B over {footprint_bytes}B",
-                    left_value=t1,
-                    right_value=t2,
-                    detail="larger stride finished faster",
-                )
-            )
-    return LawReport(
-        law="service_time_stride",
-        checked=len(strides) - 1,
-        violations=tuple(violations),
-    )
+    """DRAM moves at least the useful bytes and at most whole lines of them.
 
-
-def check_hit_rate_stride(
-    *,
-    footprint_bytes: int = 256 * 1024,
-    element_bytes: int = 8,
-    strides: Sequence[int] = (8, 16, 32, 64, 128, 256, 512),
-    config: CacheConfig | None = None,
-) -> LawReport:
-    """Cache hit rate is monotone non-increasing in stride."""
-    config = config or CacheConfig(32 * 1024, 64, 8)
-    rates = [
-        streaming_hit_ratio(
-            footprint_bytes=footprint_bytes,
-            stride_bytes=stride,
-            element_bytes=element_bytes,
-            config=config,
-        )
-        for stride in strides
-    ]
-    violations = []
-    for (s1, r1), (s2, r2) in zip(
-        zip(strides, rates), zip(strides[1:], rates[1:])
-    ):
-        if r2 > r1 + 1e-12:
-            violations.append(
-                Violation(
-                    law="hit_rate_stride",
-                    left=f"stride={s1}B over {footprint_bytes}B",
-                    right=f"stride={s2}B over {footprint_bytes}B",
-                    left_value=r1,
-                    right_value=r2,
-                    detail="larger stride hit more often",
-                )
-            )
-    return LawReport(
-        law="hit_rate_stride", checked=len(strides) - 1, violations=tuple(violations)
-    )
-
-
-def check_hit_rate_passes(
-    *,
-    footprints: Sequence[int] = (16 * 1024, 1 << 20),
-    strides: Sequence[int] = (8, 64),
-    element_bytes: int = 8,
-    config: CacheConfig | None = None,
-) -> LawReport:
-    """Walking the footprint again can only raise the hit rate."""
-    config = config or CacheConfig(32 * 1024, 64, 8)
+    Every useful byte crosses the DRAM interface at least once, and each
+    element costs at most the lines it spans: ``useful <= dram <=
+    useful * max(1, line / element)``, read from the model's own detail.
+    """
     violations = []
     checked = 0
-    for footprint in footprints:
-        for stride in strides:
-            one = streaming_hit_ratio(
-                footprint_bytes=footprint,
-                stride_bytes=stride,
-                element_bytes=element_bytes,
-                config=config,
-                passes=1,
+    for target in targets:
+        spec = find_device(target).model.spec
+        line = spec.llc.line_bytes if target == "cpu" else spec.segment_bytes
+        for pattern, dtype, width, size in product(
+            AccessPattern, (DataType.INT, DataType.DOUBLE), widths, sizes
+        ):
+            params = TuningParameters(
+                kernel=KernelName.TRIAD,
+                array_bytes=size,
+                pattern=pattern,
+                dtype=dtype,
+                vector_width=width,
+                loop=optimal_loop_for(target),
             )
-            two = streaming_hit_ratio(
-                footprint_bytes=footprint,
-                stride_bytes=stride,
-                element_bytes=element_bytes,
-                config=config,
-                passes=2,
-            )
+            detail = _model_detail(target, params)
+            useful = detail["useful_bytes"]
+            dram = detail.get("dram_bytes", detail.get("dram_fetched_bytes"))
+            ceiling = useful * max(1.0, line / params.element_bytes)
             checked += 1
-            if two < one - 1e-12:
+            if not useful <= dram <= ceiling:
                 violations.append(
                     Violation(
-                        law="hit_rate_passes",
-                        left=f"passes=1 stride={stride}B over {footprint}B",
-                        right=f"passes=2 stride={stride}B over {footprint}B",
-                        left_value=one,
-                        right_value=two,
-                        detail="a second pass lowered the hit rate",
+                        law="dram_traffic_bounds",
+                        left=f"{target} {params.describe()} [useful bytes]",
+                        right=f"{target} {params.describe()} [dram bytes]",
+                        left_value=float(useful),
+                        right_value=float(dram),
+                        detail=f"dram bytes outside [useful, {ceiling:g}]",
                     )
                 )
     return LawReport(
-        law="hit_rate_passes", checked=checked, violations=tuple(violations)
+        law="dram_traffic_bounds", checked=checked, violations=tuple(violations)
+    )
+
+
+def _model_caches() -> dict[str, CacheConfig]:
+    """The cache geometries the CPU (LLC) and GPU (L2) models reuse."""
+    return {
+        "cpu llc": find_device("cpu").model.spec.llc,
+        "gpu l2": find_device("gpu").model.spec.l2,
+    }
+
+
+def check_reuse_capacity(
+    *,
+    windows: Sequence[int] = tuple(1 << k for k in range(10, 27, 2)),
+    element_bytes: Sequence[int] = (4, 8, 64),
+) -> LawReport:
+    """Doubling the cache never raises the reuse rule's miss fraction."""
+    violations = []
+    checked = 0
+    for name, config in _model_caches().items():
+        doubled = replace(config, capacity_bytes=2 * config.capacity_bytes)
+        for window, element in product(windows, element_bytes):
+            small = far_reuse_miss_fraction(window, element, config)
+            large = far_reuse_miss_fraction(window, element, doubled)
+            checked += 1
+            if large > small + 1e-12:
+                violations.append(
+                    Violation(
+                        law="reuse_capacity",
+                        left=f"{name} {config.capacity_bytes}B window={window}B element={element}B",
+                        right=f"{name} {doubled.capacity_bytes}B window={window}B element={element}B",
+                        left_value=small,
+                        right_value=large,
+                        detail="a larger cache missed more often",
+                    )
+                )
+    return LawReport(
+        law="reuse_capacity", checked=checked, violations=tuple(violations)
+    )
+
+
+def check_reuse_window(
+    *,
+    windows: Sequence[int] = tuple(1 << k for k in range(10, 27, 2)),
+    element_bytes: Sequence[int] = (4, 8, 64),
+) -> LawReport:
+    """A larger reuse window never lowers the reuse rule's miss fraction.
+
+    ``windows`` must be increasing; each adjacent pair is one check.
+    """
+    violations = []
+    checked = 0
+    for name, config in _model_caches().items():
+        for element in element_bytes:
+            misses = [far_reuse_miss_fraction(w, element, config) for w in windows]
+            for (w1, m1), (w2, m2) in zip(
+                zip(windows, misses), zip(windows[1:], misses[1:])
+            ):
+                checked += 1
+                if m2 < m1 - 1e-12:
+                    violations.append(
+                        Violation(
+                            law="reuse_window",
+                            left=f"{name} window={w1}B element={element}B",
+                            right=f"{name} window={w2}B element={element}B",
+                            left_value=m1,
+                            right_value=m2,
+                            detail="a larger window missed less often",
+                        )
+                    )
+    return LawReport(
+        law="reuse_window", checked=checked, violations=tuple(violations)
     )
 
 
@@ -437,7 +454,7 @@ def check_all(*, quick: bool = False) -> list[LawReport]:
         check_content_invariance(content_targets),
         check_contiguous_vs_strided(engine_targets),
         check_bytes_linear(("cpu",) if quick else ("cpu", "aocl")),
-        check_service_time_stride(),
-        check_hit_rate_stride(),
-        check_hit_rate_passes(),
+        check_dram_traffic_bounds(),
+        check_reuse_capacity(),
+        check_reuse_window(),
     ]

@@ -1,4 +1,4 @@
-"""Cache simulation: exact LRU behaviour and the analytic streaming model."""
+"""Cache simulation: exact LRU behaviour and the shared reuse rule."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidValueError
-from repro.memsim.access import contiguous_stream, strided_stream, to_byte_addresses
-from repro.memsim.cache import Cache, CacheConfig, streaming_hit_ratio
+from repro.memsim.cache import Cache, CacheConfig, far_reuse_miss_fraction
 
 
 class TestConfig:
@@ -86,99 +85,23 @@ class TestExactLru:
         assert c.stats.hit_ratio == pytest.approx(1 / 3)
 
 
-class TestStreamingModel:
+class TestFarReuseRule:
+    # 16 KiB, 8 ways: the effective capacity is 16 KiB * (1 - 1/16)
     CFG = CacheConfig(capacity_bytes=16 * 1024, line_bytes=64, ways=8)
 
-    def test_unit_stride_one_pass(self):
-        # int32 unit stride: 16 accesses per line, 15/16 spatial hits
-        ratio = streaming_hit_ratio(
-            footprint_bytes=1024 * 1024,
-            stride_bytes=4,
-            element_bytes=4,
-            config=self.CFG,
-        )
-        assert ratio == pytest.approx(15 / 16)
+    def test_fitting_window_misses_once_per_line(self):
+        assert far_reuse_miss_fraction(4096, 4, self.CFG) == 1 / 16
+        assert far_reuse_miss_fraction(4096, 8, self.CFG) == 1 / 8
 
-    def test_fits_second_pass_all_hits(self):
-        ratio = streaming_hit_ratio(
-            footprint_bytes=4096,
-            stride_bytes=4,
-            element_bytes=4,
-            config=self.CFG,
-            passes=2,
-        )
-        assert ratio == pytest.approx((15 / 16 + 1.0) / 2)
+    def test_associativity_allowance(self):
+        assert far_reuse_miss_fraction(15 * 1024, 4, self.CFG) == 1 / 16
+        assert far_reuse_miss_fraction(15 * 1024 + 1, 4, self.CFG) == 1.0
 
-    def test_thrash_second_pass_no_temporal_hits(self):
-        ratio1 = streaming_hit_ratio(
-            footprint_bytes=1024 * 1024,
-            stride_bytes=4,
-            element_bytes=4,
-            config=self.CFG,
-            passes=1,
-        )
-        ratio2 = streaming_hit_ratio(
-            footprint_bytes=1024 * 1024,
-            stride_bytes=4,
-            element_bytes=4,
-            config=self.CFG,
-            passes=2,
-        )
-        assert ratio2 == pytest.approx(ratio1)
+    def test_no_far_reuse_always_misses(self):
+        assert far_reuse_miss_fraction(None, 4, self.CFG) == 1.0
 
-    def test_large_stride_no_spatial_hits(self):
-        ratio = streaming_hit_ratio(
-            footprint_bytes=1024 * 1024,
-            stride_bytes=4096,
-            element_bytes=4,
-            config=self.CFG,
-        )
-        assert ratio == 0.0
-
-    def test_invalid_args(self):
-        with pytest.raises(InvalidValueError):
-            streaming_hit_ratio(
-                footprint_bytes=1024, stride_bytes=0, element_bytes=4, config=self.CFG
-            )
-        with pytest.raises(InvalidValueError):
-            streaming_hit_ratio(
-                footprint_bytes=1024,
-                stride_bytes=4,
-                element_bytes=4,
-                config=self.CFG,
-                passes=0,
-            )
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    lines=st.sampled_from([8, 16, 32]),
-    ways=st.sampled_from([2, 4, 8]),
-    n_lines_touched=st.integers(1, 64),
-    passes=st.integers(1, 3),
-)
-def test_analytic_matches_exact_for_unit_stride(lines, ways, n_lines_touched, passes):
-    """Property: the closed form tracks the exact simulator for unit-stride
-    walks, within a small conflict-miss allowance."""
-    line = 64
-    cfg = CacheConfig(capacity_bytes=line * lines, line_bytes=line, ways=min(ways, lines))
-    footprint = n_lines_touched * line
-    stream = to_byte_addresses(contiguous_stream(footprint // 4), 4)
-    cache = Cache(cfg)
-    total = None
-    for _ in range(passes):
-        total = cache.stats
-        cache.access(stream)
-    exact = cache.stats.hit_ratio
-    model = streaming_hit_ratio(
-        footprint_bytes=footprint,
-        stride_bytes=4,
-        element_bytes=4,
-        config=cfg,
-        passes=passes,
-    )
-    assert model == pytest.approx(exact, abs=0.13)
-    _ = total
+    def test_element_wider_than_line_misses_every_access(self):
+        assert far_reuse_miss_fraction(4096, 128, self.CFG) == 1.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,7 +112,7 @@ def test_analytic_matches_exact_for_unit_stride(lines, ways, n_lines_touched, pa
 def test_exact_hits_never_exceed_accesses(stride_lines, n):
     cfg = CacheConfig(capacity_bytes=4096, line_bytes=64, ways=4)
     cache = Cache(cfg)
-    stream = to_byte_addresses(strided_stream(n, stride_lines * 16), 4)
+    stream = np.arange(n) * (stride_lines * 16) * 4
     stats = cache.access(stream)
     assert stats.hits + stats.misses == stats.accesses == n
     assert 0.0 <= stats.hit_ratio <= 1.0

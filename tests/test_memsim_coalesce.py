@@ -8,33 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidValueError
-from repro.memsim.access import contiguous_stream, strided_stream, to_byte_addresses
 from repro.memsim.coalesce import coalesce_fixed_groups, coalesce_sequential
 
 
 class TestWarpCoalescing:
     def test_unit_stride_int32_minimal_transactions(self):
-        addrs = to_byte_addresses(contiguous_stream(128), 4)
+        addrs = np.arange(128) * 4
         res = coalesce_fixed_groups(addrs, 4, group_size=32, segment_bytes=128)
         # 32 lanes x 4B = 128B = exactly one segment per warp
         assert res.transactions == 4
         assert res.efficiency == pytest.approx(1.0)
 
     def test_column_walk_one_transaction_per_lane(self):
-        addrs = to_byte_addresses(strided_stream(32, 1024), 4)
+        addrs = np.arange(32) * 1024 * 4
         res = coalesce_fixed_groups(addrs, 4, group_size=32, segment_bytes=128)
         assert res.transactions == 32
         assert res.efficiency == pytest.approx(4 / 128)
 
     def test_stride_two_doubles_transactions(self):
-        addrs = to_byte_addresses(strided_stream(64, 2), 4)
+        addrs = np.arange(64) * 2 * 4
         res = coalesce_fixed_groups(addrs, 4, group_size=32, segment_bytes=128)
         # each warp covers 32*8B = 256B -> 2 segments
         assert res.transactions == 4
         assert res.efficiency == pytest.approx(0.5)
 
     def test_partial_trailing_group(self):
-        addrs = to_byte_addresses(contiguous_stream(40), 4)
+        addrs = np.arange(40) * 4
         res = coalesce_fixed_groups(addrs, 4, group_size=32, segment_bytes=128)
         assert res.accesses == 40
         assert res.transactions == 2  # one full warp + one partial
@@ -50,25 +49,25 @@ class TestWarpCoalescing:
 
 class TestBurstInference:
     def test_contiguous_merges_to_max_burst(self):
-        addrs = to_byte_addresses(contiguous_stream(512), 4)
+        addrs = np.arange(512) * 4
         res = coalesce_sequential(addrs, 4, max_burst_bytes=512)
         # 2048 sequential bytes / 512B bursts = 4 transactions
         assert res.transactions == 4
         assert res.efficiency == pytest.approx(1.0)
 
     def test_strided_breaks_every_burst(self):
-        addrs = to_byte_addresses(strided_stream(100, 256), 4)
+        addrs = np.arange(100) * 256 * 4
         res = coalesce_sequential(addrs, 4, max_burst_bytes=512)
         assert res.transactions == 100
 
     def test_mixed_runs(self):
-        a = to_byte_addresses(contiguous_stream(16), 4)
-        b = to_byte_addresses(contiguous_stream(16, start=1000), 4)
+        a = np.arange(16) * 4
+        b = np.arange(1000, 1000 + 16) * 4
         res = coalesce_sequential(np.concatenate([a, b]), 4, max_burst_bytes=4096)
         assert res.transactions == 2
 
     def test_burst_cap_respected(self):
-        addrs = to_byte_addresses(contiguous_stream(64), 4)  # 256 bytes
+        addrs = np.arange(64) * 4  # 256 bytes
         res = coalesce_sequential(addrs, 4, max_burst_bytes=64)
         assert res.transactions == 4
 
@@ -86,7 +85,7 @@ class TestBurstInference:
 def test_warp_coalescing_invariants(n, stride, element):
     """Properties: every access is covered exactly once; transaction count
     is bounded by accesses and by the minimal segment count."""
-    addrs = to_byte_addresses(strided_stream(n, stride), element)
+    addrs = np.arange(n) * stride * element
     res = coalesce_fixed_groups(addrs, element, group_size=32, segment_bytes=128)
     assert res.accesses == n
     assert 1 <= res.transactions <= n
@@ -107,7 +106,7 @@ def test_burst_inference_invariants(runs, element, max_burst):
     pieces = []
     base = 0
     for run in runs:
-        pieces.append(to_byte_addresses(contiguous_stream(run, start=base), element))
+        pieces.append(np.arange(base, base + run) * element)
         base += run + 100  # gap breaks the run
     addrs = np.concatenate(pieces)
     res = coalesce_sequential(addrs, element, max_burst_bytes=max_burst)

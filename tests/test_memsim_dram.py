@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidValueError
-from repro.memsim.access import contiguous_stream, strided_stream, to_byte_addresses
 from repro.memsim.controller import MemoryController, StreamDemand
 from repro.memsim.dram import DramSpec, row_locality_efficiency, simulate_dram
 from repro.memsim.pcie import PcieLink
@@ -211,7 +210,7 @@ class TestPcie:
 )
 def test_dram_time_components_consistent(n, stride):
     """Property: total = max(data, command); hits+misses = transactions."""
-    addrs = to_byte_addresses(strided_stream(n, stride // 4), 4)
+    addrs = np.arange(n) * stride
     t = simulate_dram(SPEC, addrs, 64)
     assert t.seconds == pytest.approx(max(t.data_seconds, t.command_seconds))
     assert t.row_hits + t.row_misses == n
@@ -221,7 +220,7 @@ def test_dram_time_components_consistent(n, stride):
 @given(n=st.integers(256, 2048))
 def test_contiguous_never_slower_than_scattered(n):
     # large enough that the sequential stream spreads across banks
-    contig = to_byte_addresses(contiguous_stream(n), 64)
+    contig = np.arange(n) * 64
     rng = np.random.default_rng(n)
     scattered = rng.integers(0, 2**28, n) * 64
     t_c = simulate_dram(SPEC, contig, 64)

@@ -2,7 +2,7 @@
 as structured pairs of grid points rather than raised exceptions.
 
 The negative-path tests deliberately break the model under each law
-(monkeypatched service times, hit rates, launch latencies, fake engine
+(monkeypatched model detail, reuse rules, launch latencies, fake engine
 results) and demand the law *fires* — a law that cannot catch a broken
 model is not a check, it is decoration."""
 
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.params import AccessPattern, TuningParameters
-from repro.memsim import CacheConfig
 from repro.verify import metamorphic
 from repro.verify.metamorphic import (
     ALL_TARGETS,
@@ -21,9 +20,9 @@ from repro.verify.metamorphic import (
     check_bytes_linear,
     check_content_invariance,
     check_contiguous_vs_strided,
-    check_hit_rate_passes,
-    check_hit_rate_stride,
-    check_service_time_stride,
+    check_dram_traffic_bounds,
+    check_reuse_capacity,
+    check_reuse_window,
 )
 
 
@@ -42,22 +41,18 @@ class TestLaws:
         assert report.ok, report.describe()
         assert report.checked == 6
 
-    def test_service_time_monotone_in_stride(self):
-        report = check_service_time_stride()
+    def test_dram_traffic_within_useful_and_whole_lines(self):
+        report = check_dram_traffic_bounds()
+        assert report.ok, report.describe()
+        # cpu/gpu x pattern x {int, double} x widths x sizes
+        assert report.checked == 2 * 2 * 2 * 3 * 3
+
+    def test_reuse_rule_monotone_in_capacity(self):
+        report = check_reuse_capacity()
         assert report.ok, report.describe()
 
-    def test_hit_rate_monotone_in_stride(self):
-        report = check_hit_rate_stride()
-        assert report.ok, report.describe()
-
-    def test_hit_rate_monotone_in_stride_tiny_cache(self):
-        report = check_hit_rate_stride(
-            footprint_bytes=64 * 1024, config=CacheConfig(4 * 1024, 32, 2)
-        )
-        assert report.ok, report.describe()
-
-    def test_second_pass_never_lowers_hit_rate(self):
-        report = check_hit_rate_passes()
+    def test_reuse_rule_monotone_in_window(self):
+        report = check_reuse_window()
         assert report.ok, report.describe()
 
     def test_check_all_runs_every_law(self):
@@ -95,19 +90,18 @@ class TestViolationReporting:
         )
         assert not dirty.ok and "1 violation" in dirty.describe()
 
-    def test_broken_model_produces_violation_not_crash_reversed_strides(self):
-        # feed the stride law a deliberately nonsensical stride order by
-        # checking a decreasing stride sequence against an analytic
-        # function that *is* monotone: reversing the strides makes every
-        # adjacent pair look like a regression, exercising the
-        # violation-construction path end to end
-        report = check_hit_rate_stride(strides=(512, 256, 128, 64, 8))
+    def test_broken_model_produces_violation_not_crash_reversed_windows(self):
+        # feed the window law a deliberately nonsensical window order:
+        # the rule *is* monotone, so reversing the windows across the
+        # capacity threshold makes a pair look like a regression,
+        # exercising the violation-construction path end to end
+        report = check_reuse_window(windows=(64 << 20, 1 << 20), element_bytes=(4,))
         assert not report.ok
         assert report.violations  # structured, not raised
         first = report.violations[0]
-        assert first.law == "hit_rate_stride"
-        assert "stride=" in first.left and "stride=" in first.right
-        assert first.right_value > first.left_value
+        assert first.law == "reuse_window"
+        assert "window=" in first.left and "window=" in first.right
+        assert first.right_value < first.left_value
 
 
 @dataclass
@@ -185,54 +179,69 @@ class TestNegativePaths:
         assert report.violations[0].law == "bytes_linear"
         assert "expected exactly 2x" in report.violations[0].detail
 
-    def test_service_time_fires_on_decreasing_service_time(self, monkeypatch):
-        class BrokenHierarchy:
-            # service time *falls* as stride grows: physically absurd
-            def streaming_service_time(
-                self, *, footprint_bytes, stride_bytes, element_bytes
-            ):
-                return 1.0 / stride_bytes
-
-        monkeypatch.setattr(
-            metamorphic, "_canonical_hierarchy", lambda: BrokenHierarchy()
-        )
-        report = check_service_time_stride(strides=(8, 16, 32))
-        assert not report.ok
-        assert len(report.violations) == 2  # every adjacent pair breaks
-        assert report.violations[0].law == "service_time_stride"
-        assert "larger stride finished faster" in report.violations[0].detail
-
-    def test_hit_rate_stride_fires_on_increasing_hit_rate(self, monkeypatch):
+    def test_dram_traffic_bounds_fires_on_half_line_charge(self, monkeypatch):
+        # the parent's CPU bug: a 128-B element on a 64-B line charged
+        # one line per miss, moving half the useful bytes through DRAM
         monkeypatch.setattr(
             metamorphic,
-            "streaming_hit_ratio",
-            lambda **kw: kw["stride_bytes"] / 1024.0,
+            "_model_detail",
+            lambda target, params: {"useful_bytes": 3072, "dram_bytes": 1536},
         )
-        report = check_hit_rate_stride(strides=(8, 64, 512))
+        report = check_dram_traffic_bounds(("cpu",), sizes=(1024,), widths=(16,))
         assert not report.ok
-        assert report.violations[0].law == "hit_rate_stride"
-        assert "larger stride hit more often" in report.violations[0].detail
+        assert len(report.violations) == report.checked == 4
+        assert report.violations[0].law == "dram_traffic_bounds"
+        assert "outside [useful" in report.violations[0].detail
 
-    def test_hit_rate_passes_fires_when_second_pass_hits_less(
+    def test_dram_traffic_bounds_fires_above_whole_lines(self, monkeypatch):
+        # more than a whole line per element: traffic from nowhere
+        monkeypatch.setattr(
+            metamorphic,
+            "_model_detail",
+            lambda target, params: {
+                "useful_bytes": 1024,
+                "dram_fetched_bytes": 1024 * 1024,
+            },
+        )
+        report = check_dram_traffic_bounds(("gpu",), sizes=(1024,), widths=(1,))
+        assert not report.ok
+        assert report.violations[0].right_value == 1024 * 1024
+
+    def test_reuse_capacity_fires_when_bigger_cache_misses_more(
         self, monkeypatch
     ):
         monkeypatch.setattr(
             metamorphic,
-            "streaming_hit_ratio",
-            lambda **kw: 1.0 / kw.get("passes", 1),
+            "far_reuse_miss_fraction",
+            lambda window, element, config: config.capacity_bytes / 2**30,
         )
-        report = check_hit_rate_passes(footprints=(16 * 1024,), strides=(8,))
+        report = check_reuse_capacity(windows=(1024,), element_bytes=(4,))
         assert not report.ok
-        assert report.violations[0].law == "hit_rate_passes"
-        assert "second pass lowered" in report.violations[0].detail
+        assert len(report.violations) == 2  # cpu llc and gpu l2
+        assert report.violations[0].law == "reuse_capacity"
+        assert "larger cache missed more" in report.violations[0].detail
+
+    def test_reuse_window_fires_when_larger_window_misses_less(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            metamorphic,
+            "far_reuse_miss_fraction",
+            lambda window, element, config: 1024 / window,
+        )
+        report = check_reuse_window(windows=(1024, 4096, 16384), element_bytes=(4,))
+        assert not report.ok
+        assert len(report.violations) == 4  # two pairs on each cache
+        assert report.violations[0].law == "reuse_window"
+        assert "larger window missed less" in report.violations[0].detail
 
     def test_broken_reports_surface_through_check_all(self, monkeypatch):
         # check_all must carry a firing law outward, not swallow it
         monkeypatch.setattr(
             metamorphic,
-            "streaming_hit_ratio",
-            lambda **kw: kw["stride_bytes"] / 1024.0,
+            "far_reuse_miss_fraction",
+            lambda window, element, config: config.capacity_bytes / 2**30,
         )
         reports = {r.law: r for r in metamorphic.check_all(quick=True)}
-        assert not reports["hit_rate_stride"].ok
-        assert reports["service_time_stride"].ok  # untouched laws still pass
+        assert not reports["reuse_capacity"].ok
+        assert reports["dram_traffic_bounds"].ok  # untouched laws still pass
