@@ -17,21 +17,30 @@ The device performance models never execute kernel code; they consume a
 * an **arithmetic intensity** estimate (ALU ops per innermost
   iteration), used by models to decide compute- vs memory-boundedness.
 
-Index expressions that are not affine (e.g. ``gid % C`` remappings) are
-still usable: :func:`index_stream` evaluates any supported index
-expression *numerically*, vectorized over the iteration domain, and
+The same walk also derives a **quasi-affine** form for each index
+(:class:`QuasiAffine`): a sum of ``coef * ((v // d) % m)`` terms over
+``gid0`` and loop variables, e.g. the strided variant's
+``(g % NI) * NJ + g / NI``. The array lane lowers that form to a slice
+or a strided view per launch geometry without evaluating the index
+(:mod:`repro.oclc.vectorize`); the device models keep reading the
+affine classification.
+
+Index expressions outside both fragments are still usable:
+:func:`index_stream` evaluates any supported index expression
+*numerically*, vectorized over the iteration domain, and
 :func:`classify_stride` falls back to sampling the stream.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
 
-from ..errors import UnsupportedKernelError
+from ..errors import SemanticError, UnsupportedKernelError
 from ..ocl import types as T
 from . import cast
 from .semantic import (
@@ -44,6 +53,9 @@ __all__ = [
     "LoopMode",
     "LoopInfo",
     "AffineIndex",
+    "QuasiTerm",
+    "QuasiRange",
+    "QuasiAffine",
     "MemAccess",
     "KernelIR",
     "analyze",
@@ -84,12 +96,59 @@ class LoopInfo:
 
 
 @dataclass(frozen=True)
+class QuasiTerm:
+    """``coef * ((var // div) % mod)``; ``mod`` None means no modulo."""
+
+    coef: int
+    var: str
+    div: int = 1
+    mod: int | None = None
+
+
+@dataclass(frozen=True)
+class QuasiRange:
+    """A sub-expression that must stay within its type's value range.
+
+    The quasi-affine form computes with unbounded integers; the kernel
+    computes each sub-expression in its OpenCL type. The two agree iff
+    every sub-expression's value fits ``[lo, hi]``.
+    """
+
+    terms: tuple[QuasiTerm, ...]
+    const: int
+    lo: int
+    hi: int
+
+
+@dataclass(frozen=True)
+class QuasiAffine:
+    """An index as ``const + sum(terms)``, exact under ``checks``.
+
+    ``/`` and ``%`` appear only by positive constants on operands that
+    are non-negative, where C truncation equals floor division.
+    ``names`` lists the variables the expression reads: without one
+    from the iteration domain, its numeric value is a scalar rather
+    than a per-item stream.
+    """
+
+    terms: tuple[QuasiTerm, ...]
+    const: int
+    names: frozenset[str]
+    checks: tuple[QuasiRange, ...]
+
+
+@dataclass(frozen=True)
 class AffineIndex:
-    """``sum(coeffs[v] * v) + const`` over loop/gid variables, if affine."""
+    """``sum(coeffs[v] * v) + const`` over loop/gid variables, if affine.
+
+    ``quasi`` is the index's quasi-affine form, or None outside that
+    fragment; an affine index has one with plain terms only.
+    """
 
     coeffs: Mapping[str, int]
     const: int
     is_affine: bool = True
+    quasi: QuasiAffine | None = None
 
     def stride_of(self, var: str) -> int:
         return int(self.coeffs.get(var, 0))
@@ -197,6 +256,8 @@ class _Analyzer:
         self.consts: dict[str, int] = {}
         self.gid_aliases: dict[str, str] = {}  # local name -> "gid0"/"gid1"/"gid2"
         self.expr_aliases: dict[str, "cast.Expr"] = {}  # local name -> defining expr
+        self.const_inits: dict[str, "cast.Expr"] = {}  # const local -> its init
+        self.decl_types: dict[str, T.Type] = {}
         self.loops: list[LoopInfo] = []
         self.accesses: list[MemAccess] = []
         self.alu_ops = 0
@@ -286,6 +347,7 @@ class _Analyzer:
         init = stmt.init
         if init is None:
             return
+        self.decl_types[stmt.name] = T.parse_type_name(stmt.type_name)
         # gid alias: size_t i = get_global_id(D);
         if (
             isinstance(init, cast.Call)
@@ -298,6 +360,7 @@ class _Analyzer:
         value = self._const_eval(init)
         if value is not None:
             self.consts[stmt.name] = value
+            self.const_inits[stmt.name] = init
         else:
             # remember the defining expression so index analysis can see
             # through locals like `idx = (g % NI) * NJ + g / NI`
@@ -541,64 +604,237 @@ class _Analyzer:
 
     def _affine(self, expr: cast.Expr) -> AffineIndex:
         try:
-            coeffs, const = self._affine_walk(expr)
-            return AffineIndex(coeffs=coeffs, const=const, is_affine=True)
+            form = self._affine_walk(expr)
         except _NotAffine:
             return AffineIndex(coeffs={}, const=0, is_affine=False)
+        quasi = None
+        if form.lowerable:
+            quasi = QuasiAffine(
+                terms=_term_tuple(form.terms),
+                const=form.const,
+                names=frozenset(form.names),
+                checks=tuple(dict.fromkeys(form.checks)),
+            )
+        if not form.affine:
+            return AffineIndex(coeffs={}, const=0, is_affine=False, quasi=quasi)
+        coeffs = {var: coef for (var, _div, _mod), coef in form.terms.items()}
+        return AffineIndex(coeffs=coeffs, const=form.const, is_affine=True, quasi=quasi)
 
-    def _affine_walk(self, expr: cast.Expr) -> tuple[dict[str, int], int]:
+    def _affine_walk(self, expr: cast.Expr) -> "_Form":
+        """One walk for both forms: affine coefficients and quasi-affine terms.
+
+        Raises :class:`_NotAffine` outside the quasi-affine fragment. A
+        ``/`` or ``%`` clears ``affine`` (the device models classify such
+        sites by sampling); anything the array lane cannot lower exactly
+        clears ``lowerable``.
+        """
         if isinstance(expr, cast.IntLiteral):
-            return {}, expr.value
+            return self._typed(_Form({}, expr.value), expr)
         if isinstance(expr, cast.Ident):
-            name = expr.name
-            if name in self.consts:
-                return {}, self.consts[name]
-            if name in self.gid_aliases:
-                return {self.gid_aliases[name]: 1}, 0
-            if name in self.expr_aliases:
-                alias = self.expr_aliases.pop(name)  # cycle guard
-                try:
-                    return self._affine_walk(alias)
-                finally:
-                    self.expr_aliases[name] = alias
-            return {name: 1}, 0
+            return self._ident_form(expr.name)
         if isinstance(expr, cast.Call) and expr.func == "get_global_id":
             arg = expr.args[0]
             if isinstance(arg, cast.IntLiteral):
-                return {f"gid{arg.value}": 1}, 0
+                var = f"gid{arg.value}"
+                return _Form({(var, 1, None): 1}, 0, names={var})
             raise _NotAffine()
         if isinstance(expr, cast.Cast):
-            return self._affine_walk(expr.operand)
+            return self._typed(self._affine_walk(expr.operand), expr)
         if isinstance(expr, cast.Unary) and expr.op == "-":
-            coeffs, const = self._affine_walk(expr.operand)
-            return {k: -v for k, v in coeffs.items()}, -const
+            inner = self._affine_walk(expr.operand)
+            inner.terms = {k: -v for k, v in inner.terms.items()}
+            inner.const = -inner.const
+            return self._typed(inner, expr)
         if isinstance(expr, cast.Binary):
             if expr.op in ("+", "-"):
-                lc, lk = self._affine_walk(expr.left)
-                rc, rk = self._affine_walk(expr.right)
+                left = self._affine_walk(expr.left)
+                right = self._affine_walk(expr.right)
                 sign = 1 if expr.op == "+" else -1
-                merged = dict(lc)
-                for k, v in rc.items():
+                merged = dict(left.terms)
+                for k, v in right.terms.items():
                     merged[k] = merged.get(k, 0) + sign * v
-                return {k: v for k, v in merged.items() if v}, lk + sign * rk
+                form = left.join(right)
+                form.terms = {k: v for k, v in merged.items() if v}
+                form.const = left.const + sign * right.const
+                return self._typed(form, expr)
             if expr.op == "*":
                 lconst = self._const_eval(expr.left)
                 rconst = self._const_eval(expr.right)
                 if lconst is not None:
-                    coeffs, const = self._affine_walk(expr.right)
-                    return {k: v * lconst for k, v in coeffs.items()}, const * lconst
-                if rconst is not None:
-                    coeffs, const = self._affine_walk(expr.left)
-                    return {k: v * rconst for k, v in coeffs.items()}, const * rconst
-                raise _NotAffine()
+                    factor, const_side, other = lconst, expr.left, expr.right
+                elif rconst is not None:
+                    factor, const_side, other = rconst, expr.right, expr.left
+                else:
+                    raise _NotAffine()
+                form = self._affine_walk(other)
+                form.absorb(self._const_form(const_side, factor))
+                form.terms = {k: v * factor for k, v in form.terms.items()}
+                form.const *= factor
+                return self._typed(form, expr)
             if expr.op == "<<":
                 shift = self._const_eval(expr.right)
                 if shift is not None:
-                    coeffs, const = self._affine_walk(expr.left)
+                    form = self._affine_walk(expr.left)
                     factor = 1 << shift
-                    return {k: v * factor for k, v in coeffs.items()}, const * factor
+                    form.terms = {k: v * factor for k, v in form.terms.items()}
+                    form.const *= factor
+                    # numpy shifts of mixed-signedness operands do not
+                    # follow C promotion; leave them to numeric evaluation
+                    form.lowerable = False
+                    return form
                 raise _NotAffine()
+            if expr.op in ("/", "%"):
+                return self._typed(self._quasi_divmod(expr), expr)
         raise _NotAffine()
+
+    def _quasi_divmod(self, expr: cast.Binary) -> "_Form":
+        """``x / c`` or ``x % c`` for a constant ``c > 0`` and ``x >= 0``."""
+        divisor = self._const_eval(expr.right)
+        if divisor is None or divisor <= 0:
+            raise _NotAffine()
+        form = self._affine_walk(expr.left)
+        form.absorb(self._const_form(expr.right, divisor))
+        form.affine = False
+        if not form.terms:
+            if form.const < 0:
+                raise _NotAffine()
+            form.const = (
+                form.const // divisor if expr.op == "/" else form.const % divisor
+            )
+            return form
+        if len(form.terms) != 1 or form.const != 0:
+            raise _NotAffine()
+        ((var, div, mod), coef), = form.terms.items()
+        if coef != 1 or not self._non_negative(var):
+            raise _NotAffine()
+        if mod is not None and mod % divisor:
+            raise _NotAffine()
+        if expr.op == "/":
+            key = (var, div * divisor, None if mod is None else mod // divisor)
+        else:
+            key = (var, div, divisor)
+        form.terms = {key: 1}
+        return form
+
+    def _ident_form(self, name: str) -> "_Form":
+        # a local that shares a loop variable's name is rebound by the
+        # domain at run time; only the affine view may resolve it
+        shadows_loop = any(loop.var == name for loop in self.loops)
+        if name in self.consts:
+            value = self.consts[name]
+            form = _Form({}, value)
+            init = self.const_inits.get(name)
+            form.absorb(self._const_form(init, value) if init is not None else None)
+            form.lowerable = form.lowerable and not shadows_loop
+            return self._typed_as(form, self.decl_types.get(name))
+        if name in self.gid_aliases:
+            var = self.gid_aliases[name]
+            form = _Form({(var, 1, None): 1}, 0, names={var})
+            form.lowerable = not shadows_loop
+            return self._typed_as(form, self.decl_types.get(name))
+        if name in self.expr_aliases:
+            alias = self.expr_aliases.pop(name)  # cycle guard
+            try:
+                form = self._affine_walk(alias)
+            finally:
+                self.expr_aliases[name] = alias
+            form.lowerable = form.lowerable and not shadows_loop
+            return self._typed_as(form, self.decl_types.get(name))
+        return _Form({(name, 1, None): 1}, 0, names={name})
+
+    def _const_form(self, expr: cast.Expr, value: int) -> "_Form | None":
+        """The checks of a constant operand, or None if its evaluation
+        might differ from ``value`` (``_const_eval`` uses unbounded ints)."""
+        try:
+            form = self._affine_walk(expr)
+        except _NotAffine:
+            return None
+        if form.terms or form.const != value:
+            return None
+        return form
+
+    def _non_negative(self, var: str) -> bool:
+        if var.startswith("gid"):
+            return True
+        loop = next((lp for lp in self.loops if lp.var == var), None)
+        return loop is not None and loop.start >= 0 and loop.step > 0
+
+    def _typed(self, form: "_Form", expr: cast.Expr) -> "_Form":
+        try:
+            ty: T.Type | None = self.program.type_of(expr)
+        except SemanticError:
+            ty = None
+        return self._typed_as(form, ty)
+
+    def _typed_as(self, form: "_Form", ty: T.Type | None) -> "_Form":
+        """Record that ``form``'s value must fit ``ty``, as C computes it."""
+        bounds = _value_range(ty)
+        if bounds is None:
+            form.lowerable = False
+        elif not form.terms:
+            # a constant: decide now
+            if not bounds[0] <= form.const <= bounds[1]:
+                form.lowerable = False
+        else:
+            form.checks.append(
+                QuasiRange(_term_tuple(form.terms), form.const, *bounds)
+            )
+        return form
+
+
+#: integer values numpy may carry through float64 when it promotes mixed
+#: signed/unsigned 64-bit operands; beyond this the form falls back
+_EXACT_FLOAT_INT = 1 << 53
+
+
+def _value_range(ty: T.Type | None) -> tuple[int, int] | None:
+    """Values an integer scalar type holds exactly, or None."""
+    if not isinstance(ty, T.ScalarType) or not ty.is_integer():
+        return None
+    bits = 8 * ty.kind.size
+    if ty.kind.signed:
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    else:
+        lo, hi = 0, (1 << bits) - 1
+    return max(lo, -_EXACT_FLOAT_INT), min(hi, _EXACT_FLOAT_INT)
+
+
+def _term_tuple(terms: Mapping[tuple[str, int, int | None], int]) -> tuple[QuasiTerm, ...]:
+    return tuple(
+        QuasiTerm(coef, var, div, mod) for (var, div, mod), coef in terms.items() if coef
+    )
+
+
+@dataclass
+class _Form:
+    """The walk's result for one sub-expression (see ``_affine_walk``)."""
+
+    terms: dict[tuple[str, int, int | None], int]
+    const: int
+    names: set[str] = field(default_factory=set)
+    affine: bool = True
+    lowerable: bool = True
+    checks: list[QuasiRange] = field(default_factory=list)
+
+    def join(self, other: "_Form") -> "_Form":
+        """A form carrying both operands' flags, names and checks."""
+        return _Form(
+            {},
+            0,
+            names=self.names | other.names,
+            affine=self.affine and other.affine,
+            lowerable=self.lowerable and other.lowerable,
+            checks=self.checks + other.checks,
+        )
+
+    def absorb(self, operand: "_Form | None") -> None:
+        """Take a constant operand's names and checks (None: not exact)."""
+        if operand is None:
+            self.lowerable = False
+            return
+        self.names |= operand.names
+        self.lowerable = self.lowerable and operand.lowerable
+        self.checks += operand.checks
 
 
 class _NotAffine(Exception):
@@ -628,27 +864,26 @@ def index_stream(
     ``max_elements`` truncates the stream (leading window) for sampled
     simulation of very large domains.
     """
-    domain: list[tuple[str, np.ndarray]] = []
+    # (var, start, step, extent) per axis; the window is decoded from
+    # the flat positions without materialising any full-length axis
+    domain: list[tuple[str, int, int, int]] = []
     if ir.loop_mode is LoopMode.NDRANGE or ir.gid_vars:
-        domain.append(("gid0", np.arange(global_size, dtype=np.int64)))
+        domain.append(("gid0", 0, 1, global_size))
     for loop in ir.loops:
-        domain.append(
-            (loop.var, np.arange(loop.start, loop.bound, loop.step, dtype=np.int64))
-        )
+        extent = len(range(loop.start, loop.bound, loop.step))
+        domain.append((loop.var, loop.start, loop.step, extent))
     if not domain:
-        domain = [("gid0", np.arange(global_size, dtype=np.int64))]
+        domain = [("gid0", 0, 1, global_size)]
 
-    sizes = [len(values) for _, values in domain]
-    total = int(np.prod(sizes))
+    total = math.prod(extent for *_head, extent in domain)
     limit = total if max_elements is None else min(total, max_elements)
 
-    flat = np.arange(limit, dtype=np.int64)
     env: dict[str, np.ndarray] = {}
-    rem = flat
+    rem = np.arange(limit, dtype=np.int64)
     # innermost (last domain entry) varies fastest
-    for (var, values), _size in zip(reversed(domain), reversed(sizes)):
-        env[var] = values[rem % len(values)]
-        rem = rem // len(values)
+    for var, start, step, extent in reversed(domain):
+        env[var] = start + step * (rem % extent)
+        rem = rem // extent
     evaluator = _IndexEval(env, ir)
     return evaluator.eval(access.index)
 

@@ -25,8 +25,9 @@ Callers fall back to the interpreter in those cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -394,7 +395,22 @@ def apply_unary(op: str, value: object, ty: T.Type, line: int) -> object:
     raise UnsupportedKernelError(f"unary {op} at line {line}")
 
 
-def apply_binary(op: str, left: object, right: object, ty: T.Type) -> object:
+#: the operators :func:`apply_binary` may evaluate into a scratch array
+_SCRATCH_OPS = frozenset("+-*")
+
+
+def apply_binary(
+    op: str,
+    left: object,
+    right: object,
+    ty: T.Type,
+    scratch: Callable[[object, object, T.Type], np.ndarray | None] | None = None,
+) -> object:
+    """``left op right`` as the type-checker typed it (``ty``).
+
+    ``scratch(left, right, ty)`` may supply the output array of
+    ``+ - *``; it must have the shape :func:`scratch_shape` allows.
+    """
     left_a, right_a = align_streams(left, right)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if op in ("&&", "||"):
@@ -416,8 +432,25 @@ def apply_binary(op: str, left: object, right: object, ty: T.Type) -> object:
             ra = np.asarray(right_a, dtype=np.int64)
             raw = la - (np.sign(la) * np.sign(ra)) * (np.abs(la) // np.abs(ra)) * ra
         else:
-            raw = _ARITH_IMPL[op](left_a, right_a)
+            out = None
+            if scratch is not None and op in _SCRATCH_OPS:
+                out = scratch(left_a, right_a, ty)
+            raw = _ARITH_IMPL[op](left_a, right_a, out=out)
         return cast_value(raw, ty)
+
+
+def scratch_shape(left: object, right: object, ty: T.Type) -> tuple[int, ...] | None:
+    """Shape of an output array for ``left (+|-|*) right``, or None.
+
+    Only when numpy's own result type already is ``ty``'s dtype does
+    computing into an array of that dtype give the bits of a freshly
+    allocated result; a scalar result needs no array.
+    """
+    if not isinstance(ty, (T.ScalarType, T.VectorType)):
+        return None
+    if np.result_type(left, right) != ty.dtype:
+        return None
+    return np.broadcast_shapes(np.shape(left), np.shape(right)) or None
 
 
 def apply_math(name: str, args: list[object], ty: T.Type) -> object:
@@ -440,29 +473,35 @@ def reduce_sum(init: object, value: object) -> object:
         return result.astype(dtype) if result.dtype != dtype else result
 
 
+def domain_axes(ir: KernelIR, n_items: int) -> list[tuple[str, int, int, int]]:
+    """The flattened iteration domain as ``(var, start, step, extent)``
+    axes, outermost first; the innermost varies fastest."""
+    axes: list[tuple[str, int, int, int]] = []
+    # a single work-item kernel launched with >1 items: every item does
+    # identical work; semantics equal running once
+    if ir.loop_mode is LoopMode.NDRANGE or ir.gid_vars or n_items != 1:
+        axes.append(("gid0", 0, 1, n_items))
+    for loop in ir.loops:
+        extent = len(range(loop.start, loop.bound, loop.step))
+        axes.append((loop.var, loop.start, loop.step, extent))
+    if not axes:
+        axes = [("gid0", 0, 1, n_items)]
+    return axes
+
+
 def build_domain_env(ir: KernelIR, n_items: int) -> dict[str, object]:
     """Flatten the iteration domain into per-variable index arrays."""
-    domain: list[tuple[str, np.ndarray]] = []
-    if ir.loop_mode is LoopMode.NDRANGE or ir.gid_vars:
-        domain.append(("gid0", np.arange(n_items, dtype=np.int64)))
-    elif n_items != 1:
-        # single work-item kernel launched with >1 items: every item
-        # does identical work; semantics equal running once.
-        domain.append(("gid0", np.arange(n_items, dtype=np.int64)))
-    for loop in ir.loops:
-        domain.append(
-            (loop.var, np.arange(loop.start, loop.bound, loop.step, dtype=np.int64))
-        )
-    if not domain:
-        domain = [("gid0", np.arange(n_items, dtype=np.int64))]
-
-    sizes = [len(v) for _, v in domain]
-    total = int(np.prod(sizes))
+    axes = domain_axes(ir, n_items)
+    total = math.prod(extent for *_head, extent in axes)
     env: dict[str, object] = {}
     rem = np.arange(total, dtype=np.int64)
-    for var, values in reversed(domain):
-        env[var] = values[rem % len(values)]
-        rem = rem // len(values)
+    for k in range(len(axes) - 1, -1, -1):
+        var, start, step, extent = axes[k]
+        # the outermost axis's remainder is already below its extent
+        digit = rem % extent if k else rem
+        env[var] = digit if (start, step) == (0, 1) else start + step * digit
+        if k:
+            rem = rem // extent
     return env
 
 
