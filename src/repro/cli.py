@@ -95,7 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--csv", metavar="PATH", help="append results to a CSV file")
     run.add_argument(
-        "--save", metavar="PATH", help="append results to a JSONL history file"
+        "--save",
+        metavar="PATH",
+        help="append results to a result file (journal records, readable "
+        "by 'compare' and 'journal fsck')",
     )
 
     sweep = sub.add_parser("sweep", help="cartesian design-space sweep")
@@ -133,9 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         "recording it as a 'worker_crash' failure (default: 2)",
     )
     sweep.add_argument("--csv", metavar="PATH")
-    sweep.add_argument(
-        "--save", metavar="PATH", help="append results to a JSONL history file"
-    )
     sweep.add_argument(
         "--journal",
         metavar="PATH",
@@ -285,10 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     energy.add_argument("--ntimes", type=int, default=3)
 
     comp = sub.add_parser(
-        "compare", help="diff two result files written by sweep/run --save"
+        "compare",
+        help="diff two result files or journals (run --save, sweep --journal)",
     )
-    comp.add_argument("before", help="JSONL result file (baseline)")
-    comp.add_argument("after", help="JSONL result file (new run)")
+    comp.add_argument("before", help="result file or journal (baseline)")
+    comp.add_argument("after", help="result file or journal (new run)")
 
     jr = sub.add_parser(
         "journal", help="inspect and maintain campaign journals (WAL v2)"
@@ -302,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     jr_fsck.add_argument("path", help="the journal's live file path")
     jr_compact = jr_sub.add_parser(
         "compact",
-        help="checkpoint-compact a journal family into one all-v2 live "
-        "file (dedups superseded records, upgrades v1, unlinks segments)",
+        help="checkpoint-compact a journal family into one live file "
+        "(dedups superseded records, quarantines damaged ones, unlinks "
+        "segments)",
     )
     jr_compact.add_argument("path", help="the journal's live file path")
     jr_compact.add_argument(
@@ -770,11 +772,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.csv:
         results.to_csv(args.csv)
         print(f"wrote {args.csv}")
-    if args.save:
-        from .core import save_results
-
-        n = save_results(results, args.save)
-        print(f"appended {n} results to {args.save}")
     if scheduler.interrupted is not None:
         print(
             f"interrupted by {scheduler.interrupted}: "
@@ -950,7 +947,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         print(f"error: no journal found at {path}", file=sys.stderr)
         return 2
     kept = compact_journal(path, durable=not args.no_fsync)
-    print(f"compacted {path} -> {kept} record(s), v2, single live file")
+    print(f"compacted {path} -> {kept} record(s), single live file")
     return 0
 
 

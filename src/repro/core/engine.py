@@ -210,19 +210,15 @@ class EngineStats:
                 "stage_s": dict(self.stage_s),
             }
 
-    def merge_snapshot(
-        self, snapshot: dict[str, object], *, mirror_metrics: bool = True
-    ) -> None:
+    def merge_snapshot(self, snapshot: dict[str, object]) -> None:
         """Fold a worker's stats delta (the shape of :meth:`snapshot`) in.
 
         Worker processes (the scheduler's process backend) each
         accumulate into their own sink and ship incremental deltas home
-        with every point outcome — this is the receiving end. With
-        ``mirror_metrics=True`` the merged counters are also mirrored
-        into the obs metrics registry in bulk so ``--metrics`` totals
-        stay correct; pass ``False`` when the worker's own metric counts
-        already arrive via the telemetry relay (:mod:`repro.obs.relay`),
-        which would double-count them.
+        with every point outcome — this is the receiving end. Only this
+        sink is updated: whenever the parent has a metrics registry the
+        workers' own metric counts reach it through the telemetry relay
+        (:mod:`repro.obs.relay`).
         """
         points = int(snapshot.get("points", 0) or 0)
         failures = int(snapshot.get("failures", 0) or 0)
@@ -237,20 +233,6 @@ class EngineStats:
                 self.worker_cache[name] += count
             for name, seconds in stage_s.items():  # type: ignore[union-attr]
                 self.stage_s[name] = self.stage_s.get(name, 0.0) + float(seconds)
-        if not mirror_metrics:
-            return
-        for name, count in cache.items():
-            if count:
-                obs_metrics.count(f"build_cache.{name}", count)
-        if points:
-            obs_metrics.count("engine.points", points)
-        if failures:
-            obs_metrics.count("engine.failures", failures)
-        if retries:
-            obs_metrics.count("engine.retries", retries)
-        for name, seconds in stage_s.items():  # type: ignore[union-attr]
-            if seconds:
-                obs_metrics.count(f"engine.stage_s.{name}", float(seconds))
 
 
 class _StageClock:

@@ -6,28 +6,30 @@ files and diffs two runs — the "did the new toolchain/model change the
 picture?" question the paper's planned results-sharing website was
 meant to answer.
 
-:class:`SweepJournal` is the crash-resilience side of the same format:
-:func:`~repro.core.sweep.explore` streams every completed point to the
-journal as it finishes, keyed by the point's parameter fingerprint, so
-a campaign killed mid-sweep resumes exactly where it died.  Journal
-records additionally carry the result ``detail`` and the measurement
-fingerprint, which lets the loader verify that a restored point is
+There is one on-disk result format, the journal record (format v2, see
+:data:`JOURNAL_SCHEMA`): one flat JSON object per line carrying the
+point key, the result with its full ``detail``, the measurement
+fingerprint, and CRC32 + length framing over its canonical
+serialization. :func:`~repro.core.sweep.explore` streams every
+completed point to a :class:`SweepJournal` as it finishes, so a
+campaign killed mid-sweep resumes exactly where it died;
+:func:`save_results` (``mp-stream run --save``) appends the same
+records, so ``compare``, ``journal fsck|compact`` and ``obs serve``
+accept either file. The loader verifies that a restored point is
 byte-identical to re-running it — a record that fails that check is
 treated as absent and the point simply re-runs.
 
-Journals are a small write-ahead log (format v2, see
-:data:`JOURNAL_SCHEMA`): every record carries CRC32 + length framing
-over its canonical serialization, the loader truncates exactly a torn
-final record (the signature a ``kill -9`` mid-``write`` leaves behind)
-and **quarantines** — never silently drops — mid-file corruption to a
+The journal is a small write-ahead log: the loader truncates exactly a
+torn final record (the signature a ``kill -9`` mid-``write`` leaves
+behind) and **quarantines** — never silently drops — mid-file
+corruption (including records of any other schema) to a
 ``<journal>.quarantine`` sidecar, long campaigns rotate the live file
 into sealed ``.seg-NNNNN`` segments, and
 :func:`compact_journal`/:func:`fsck_journal` (CLI:
 ``mp-stream journal compact|fsck``) checkpoint and audit a journal
-family offline.  v1 journals (pre-WAL, no framing) still load, with a
-deprecation note in the fsck report.  Durable journals additionally
-``fsync`` the parent directory on creation and every rotation, so a
-power loss cannot lose the whole file to an unsynced directory entry.
+family offline. Durable journals additionally ``fsync`` the parent
+directory on creation and every rotation, so a power loss cannot lose
+the whole file to an unsynced directory entry.
 """
 
 from __future__ import annotations
@@ -78,8 +80,6 @@ __all__ = [
     "compare_results",
 ]
 
-_SCHEMA = 1
-
 #: journal WAL format: flat JSONL records framed with ``crc32``/``nbytes``
 JOURNAL_SCHEMA = 2
 
@@ -89,7 +89,15 @@ JOURNAL_SCHEMA = 2
 TORN_WRITE_EXIT_CODE = 5
 
 
-def _params_to_json(p: TuningParameters) -> dict:
+# The record codec. The scheduler's process backend ships results and
+# parameters across the worker pipe in exactly this format: the JSON
+# roundtrip is proven fingerprint-stable (it is what journal resume
+# relies on), which is what makes a process-backend campaign
+# byte-identical to a serial one.
+
+
+def params_to_record(p: TuningParameters) -> dict:
+    """Canonical JSON form of a parameter point (wire/journal format)."""
     return {
         "kernel": p.kernel.value,
         "array_bytes": p.array_bytes,
@@ -109,7 +117,8 @@ def _params_to_json(p: TuningParameters) -> dict:
     }
 
 
-def _params_from_json(data: dict) -> TuningParameters:
+def params_from_record(data: dict) -> TuningParameters:
+    """Inverse of :func:`params_to_record`."""
     return TuningParameters(
         kernel=KernelName(data["kernel"]),
         array_bytes=int(data["array_bytes"]),
@@ -152,26 +161,30 @@ def _jsonify(value: object) -> object:
     return repr(value)
 
 
-def _result_to_record(r: RunResult, *, detail: bool = False) -> dict:
-    record = {
-        "schema": _SCHEMA,
+def result_to_record(r: RunResult) -> dict:
+    """Canonical JSON form of a result (wire format, journal record core).
+
+    The record carries the JSON-reduced ``detail``, so it reconstructs
+    a result whose :meth:`~repro.core.results.RunResult.fingerprint`
+    equals the original's.
+    """
+    return {
         "target": r.target,
-        "params": _params_to_json(r.params),
+        "params": params_to_record(r.params),
         "times_s": list(r.times),
         "moved_bytes": r.moved_bytes,
         "validated": r.validated,
         "error": r.error,
         "failure_kind": r.failure_kind,
+        "detail": _jsonify(r.detail),
     }
-    if detail:
-        record["detail"] = _jsonify(r.detail)
-    return record
 
 
-def _result_from_record(record: dict) -> RunResult:
+def result_from_record(record: dict) -> RunResult:
+    """Inverse of :func:`result_to_record`."""
     return RunResult(
         target=record["target"],
-        params=_params_from_json(record["params"]),
+        params=params_from_record(record["params"]),
         times=tuple(record["times_s"]),
         moved_bytes=int(record["moved_bytes"]),
         validated=bool(record["validated"]),
@@ -179,74 +192,6 @@ def _result_from_record(record: dict) -> RunResult:
         failure_kind=record.get("failure_kind", ""),
         detail=record.get("detail", {}) or {},
     )
-
-
-# Public aliases of the record codec. The scheduler's process backend
-# ships results and parameters across the worker pipe in exactly this
-# format: the JSON roundtrip is proven fingerprint-stable (it is what
-# journal resume relies on), which is what makes a process-backend
-# campaign byte-identical to a serial one.
-
-
-def params_to_record(p: TuningParameters) -> dict:
-    """Canonical JSON form of a parameter point (wire/journal format)."""
-    return _params_to_json(p)
-
-
-def params_from_record(record: dict) -> TuningParameters:
-    """Inverse of :func:`params_to_record`."""
-    return _params_from_json(record)
-
-
-def result_to_record(r: RunResult, *, detail: bool = True) -> dict:
-    """Canonical JSON form of a result (wire/journal format).
-
-    With ``detail=True`` (the default here, unlike the compact
-    :func:`save_results` files) the record reconstructs a result whose
-    :meth:`~repro.core.results.RunResult.fingerprint` equals the
-    original's.
-    """
-    return _result_to_record(r, detail=detail)
-
-
-def result_from_record(record: dict) -> RunResult:
-    """Inverse of :func:`result_to_record`."""
-    return _result_from_record(record)
-
-
-def save_results(results: Iterable[RunResult], path: str | Path) -> int:
-    """Append results to a JSON-lines file; returns the count written.
-
-    Missing parent directories are created.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with path.open("a") as fh:
-        for r in results:
-            fh.write(json.dumps(_result_to_record(r)) + "\n")
-            count += 1
-    return count
-
-
-def load_results(path: str | Path) -> ResultSet:
-    """Load a JSON-lines result file back into a :class:`ResultSet`."""
-    path = Path(path)
-    out = ResultSet()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise BenchmarkError(f"{path}:{lineno}: bad JSON ({exc})") from exc
-        if record.get("schema") != _SCHEMA:
-            raise BenchmarkError(
-                f"{path}:{lineno}: unsupported schema {record.get('schema')!r}"
-            )
-        out.add(_result_from_record(record))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +208,7 @@ def point_fingerprint(target: str, params: TuningParameters) -> str:
     decisions from.
     """
     payload = json.dumps(
-        {"target": target, "params": _params_to_json(params)}, sort_keys=True
+        {"target": target, "params": params_to_record(params)}, sort_keys=True
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -272,8 +217,8 @@ def point_fingerprint(target: str, params: TuningParameters) -> str:
 
 
 def _journal_core(key: str, result: RunResult) -> dict:
-    """The v2 record *before* framing: v1 fields + point key + fingerprint."""
-    record = _result_to_record(result, detail=True)
+    """The v2 record *before* framing: result + schema, point key, fingerprint."""
+    record = result_to_record(result)
     record["schema"] = JOURNAL_SCHEMA
     record["point"] = key
     record["fingerprint"] = result.fingerprint()
@@ -325,7 +270,7 @@ class _Entry:
     file: Path
     lineno: int
     raw: str
-    status: str  # ok | v1 | torn | corrupt | stale
+    status: str  # ok | torn | corrupt | stale
     reason: str = ""
     key: str | None = None
     result: RunResult | None = None
@@ -365,20 +310,16 @@ def _classify_line(
             return _Entry(file, lineno, raw, "torn", "truncated mid-append")
         return _Entry(file, lineno, raw, "corrupt", "unparsable JSON")
     schema = record.get("schema")
-    if schema == JOURNAL_SCHEMA:
-        status = "ok"
-        err = _frame_error(record)
-        if err:
-            return _Entry(file, lineno, raw, "corrupt", err)
-    elif schema == _SCHEMA:
-        status = "v1"
-    else:
+    if schema != JOURNAL_SCHEMA:
         return _Entry(
             file, lineno, raw, "corrupt", f"unsupported schema {schema!r}"
         )
+    err = _frame_error(record)
+    if err:
+        return _Entry(file, lineno, raw, "corrupt", err)
     try:
         key = record["point"]
-        result = _result_from_record(record)
+        result = result_from_record(record)
     except (ValueError, KeyError, TypeError) as exc:
         return _Entry(file, lineno, raw, "corrupt", f"unreconstructable ({exc})")
     if record.get("fingerprint") != result.fingerprint():
@@ -386,7 +327,7 @@ def _classify_line(
             file, lineno, raw, "stale",
             "measurement fingerprint mismatch", key=key,
         )
-    return _Entry(file, lineno, raw, status, key=key, result=result)
+    return _Entry(file, lineno, raw, "ok", key=key, result=result)
 
 
 def _scan_family(path: Path) -> _FamilyScan:
@@ -417,21 +358,29 @@ def _scan_family(path: Path) -> _FamilyScan:
     return scan
 
 
+def _latest_results(entries: "Iterable[_Entry]") -> dict[str, RunResult]:
+    """The latest valid result per point key, in first-seen key order."""
+    latest: dict[str, RunResult] = {}
+    for e in entries:
+        if e.status == "ok":
+            assert e.key is not None and e.result is not None
+            latest[e.key] = e.result
+    return latest
+
+
 @dataclass(frozen=True)
 class JournalFsck:
     """Read-only integrity report over a journal family.
 
     Produced by :func:`fsck_journal` (CLI: ``mp-stream journal fsck``).
     ``clean`` means every record verified: no torn tail, no corrupt
-    lines, no stale fingerprints — v1 records are *valid* (read-compat)
-    but flagged in :attr:`notes` as deprecated.
+    lines, no stale fingerprints.
     """
 
     path: str
     files: tuple[str, ...]
     records: int
     valid: int
-    v1_records: int
     torn_tail: int
     corrupt: int
     stale: int
@@ -453,10 +402,7 @@ class JournalFsck:
             lines.append("status: missing")
             return "\n".join(lines)
         lines.append(f"  files: {len(self.files)} ({', '.join(self.files)})")
-        lines.append(
-            f"  records: {self.records}"
-            f"  valid: {self.valid}  v1: {self.v1_records}"
-        )
+        lines.append(f"  records: {self.records}  valid: {self.valid}")
         lines.append(
             f"  torn tail: {self.torn_tail}"
             f"  corrupt: {self.corrupt}  stale: {self.stale}"
@@ -470,12 +416,10 @@ class JournalFsck:
 
 def _fsck_from_scan(path: Path, scan: _FamilyScan) -> JournalFsck:
     notes: list[str] = []
-    torn = corrupt = stale = valid = v1 = 0
+    torn = corrupt = stale = valid = 0
     for e in scan.entries:
         if e.status == "ok":
             valid += 1
-        elif e.status == "v1":
-            v1 += 1
         elif e.status == "torn":
             torn += 1
             notes.append(
@@ -496,17 +440,11 @@ def _fsck_from_scan(path: Path, scan: _FamilyScan) -> JournalFsck:
             f"{path.name}: final record intact but unterminated"
             " (load repairs it without data loss)"
         )
-    if v1:
-        notes.append(
-            f"{v1} v1 record(s): read-compatible but deprecated —"
-            " run `mp-stream journal compact` to upgrade to v2 framing"
-        )
     return JournalFsck(
         path=str(path),
         files=tuple(f.name for f in scan.files),
         records=len(scan.entries),
         valid=valid,
-        v1_records=v1,
         torn_tail=torn,
         corrupt=corrupt,
         stale=stale,
@@ -517,8 +455,8 @@ def _fsck_from_scan(path: Path, scan: _FamilyScan) -> JournalFsck:
 def fsck_journal(path: str | Path) -> JournalFsck:
     """Verify every record of a journal family without modifying it.
 
-    Checks, per line: JSON parsability, schema, CRC32/length framing
-    (v2), result reconstruction, and the stored measurement
+    Checks, per line: JSON parsability, schema, CRC32/length framing,
+    result reconstruction, and the stored measurement
     fingerprint. Detects a torn final record on the live file. Never
     writes — safe to run against the journal of a live campaign.
     """
@@ -535,12 +473,7 @@ def scan_results(path: str | Path) -> dict[str, RunResult]:
     against the journal of a *live* campaign — it is what
     ``mp-stream obs serve --journal`` scrapes on.
     """
-    out: dict[str, RunResult] = {}
-    for entry in _scan_family(Path(path)).entries:
-        if entry.status in ("ok", "v1") and entry.key is not None:
-            assert entry.result is not None
-            out[entry.key] = entry.result
-    return out
+    return _latest_results(_scan_family(Path(path)).entries)
 
 
 def _fsync_dir(path: Path) -> None:
@@ -613,11 +546,11 @@ def _quarantine_entries(
 
 
 def compact_journal(path: str | Path, *, durable: bool = True) -> int:
-    """Checkpoint-compact a journal family into one all-v2 live file.
+    """Checkpoint-compact a journal family into one live file.
 
     Replays the family (segments then live, later records win per
     point key), rewrites the latest record of every point as a freshly
-    framed v2 line — upgrading any v1 records — into a temp file that
+    framed line into a temp file that
     atomically replaces the live journal (``os.replace``), then unlinks
     the sealed segments and fsyncs the directory. Corrupt/stale lines
     are quarantined to the sidecar first, torn tails included: nothing
@@ -630,19 +563,11 @@ def compact_journal(path: str | Path, *, durable: bool = True) -> int:
     bad = [e for e in scan.entries if e.status in ("torn", "corrupt", "stale")]
     if bad:
         _append_quarantine(path, bad, durable=durable)
-    latest: dict[str, _Entry] = {}
-    order: list[str] = []
-    for e in scan.entries:
-        if e.status not in ("ok", "v1"):
-            continue
-        assert e.key is not None and e.result is not None
-        if e.key not in latest:
-            order.append(e.key)
-        latest[e.key] = e
+    latest = _latest_results(scan.entries)
     tmp = path.with_name(path.name + ".compact-tmp")
     with tmp.open("wb") as fh:
-        for key in order:
-            fh.write(_journal_line(key, latest[key].result))
+        for key, result in latest.items():
+            fh.write(_journal_line(key, result))
         fh.flush()
         if durable:
             os.fsync(fh.fileno())
@@ -654,20 +579,20 @@ def compact_journal(path: str | Path, *, durable: bool = True) -> int:
     obs_events.emit(
         "journal_compacted",
         path=str(path),
-        records=len(order),
+        records=len(latest),
         quarantined=len(bad),
     )
-    return len(order)
+    return len(latest)
 
 
 class SweepJournal:
     """Crash-consistent WAL of completed sweep points (format v2).
 
-    Each record is the :func:`save_results` schema plus the point key,
-    the full (JSON-reduced) ``detail``, the measurement fingerprint,
-    and CRC32 + length framing over the canonical serialization —
-    still one flat JSON object per line, so v1 readers (and `jq`)
-    keep working. Appends are flushed per point under a lock; a
+    Each record is :func:`result_to_record` (with the full,
+    JSON-reduced ``detail``) plus the schema, the point key, the
+    measurement fingerprint, and CRC32 + length framing over the
+    canonical serialization — one flat JSON object per line, so `jq`
+    reads it. Appends are flushed per point under a lock; a
     campaign killed mid-append leaves at most one torn final line,
     which :meth:`load` truncates exactly (counted in
     :attr:`discarded`/:attr:`repaired`). Mid-file damage — corrupt
@@ -728,8 +653,6 @@ class SweepJournal:
         self.discarded = 0
         #: tail repairs applied on load (truncation or re-termination)
         self.repaired = 0
-        #: deprecated v1 records accepted on load (read-compat)
-        self.v1_loaded = 0
         #: fsck-style breakdown of the last :meth:`load`
         self.load_report: JournalFsck | None = None
 
@@ -751,14 +674,13 @@ class SweepJournal:
         re-run, so a damaged journal degrades to extra work, never to
         wrong data or silent loss.
         """
-        done: dict[str, RunResult] = {}
         torn_n = corrupt_n = stale_n = 0
         with self._lock:
             scan = _scan_family(self.path)
             self.load_report = _fsck_from_scan(self.path, scan)
             self._tail_checked = True
             if not scan.files:
-                return done
+                return {}
             torn = [e for e in scan.entries if e.status == "torn"]
             if torn:
                 size = self.path.stat().st_size
@@ -779,20 +701,10 @@ class SweepJournal:
                 corrupt_n = sum(1 for e in bad if e.status == "corrupt")
                 stale_n = len(bad) - corrupt_n
                 self.discarded += len(bad)
-            valid = 0
-            live_valid = 0
-            for e in scan.entries:
-                if e.status not in ("ok", "v1"):
-                    continue
-                assert e.key is not None and e.result is not None
-                done[e.key] = e.result
-                valid += 1
-                if e.file == self.path:
-                    live_valid += 1
-                if e.status == "v1":
-                    self.v1_loaded += 1
-            self._seq = valid
-            self._live_records = live_valid
+            valid = [e for e in scan.entries if e.status == "ok"]
+            self._seq = len(valid)
+            self._live_records = sum(1 for e in valid if e.file == self.path)
+            done = _latest_results(valid)
             dropped = torn_n + corrupt_n + stale_n
         if dropped:
             obs_events.emit(
@@ -804,8 +716,6 @@ class SweepJournal:
                 stale=stale_n,
             )
             obs_metrics.count("journal.dropped_records", dropped)
-        if self.v1_loaded:
-            obs_metrics.count("journal.v1_records", self.v1_loaded)
         return done
 
     # -- appending ---------------------------------------------------------------
@@ -997,6 +907,41 @@ class SweepJournal:
     def note_reused(self, count: int = 1) -> None:
         with self._lock:
             self.reused += count
+
+
+def save_results(results: Iterable[RunResult], path: str | Path) -> int:
+    """Append results to a journal file; returns the count written.
+
+    Each result is one framed journal record keyed by its point, so a
+    saved file is a journal: ``compare``, ``journal fsck|compact`` and
+    :func:`load_results` read it, and a point saved twice loads as its
+    latest record. Missing parent directories are created.
+    """
+    journal = SweepJournal(path)
+    count = 0
+    for r in results:
+        journal.record(point_fingerprint(r.target, r.params), r)
+        count += 1
+    return count
+
+
+def load_results(path: str | Path) -> ResultSet:
+    """Load a result file or journal family into a :class:`ResultSet`.
+
+    Returns the latest record per point, in first-seen order. Strict,
+    unlike :meth:`SweepJournal.load`: any torn, corrupt or stale line
+    raises :class:`~repro.errors.BenchmarkError` naming
+    ``file:lineno: reason`` instead of being quarantined, and so does a
+    path with no journal files. Never writes.
+    """
+    path = Path(path)
+    scan = _scan_family(path)
+    if not scan.files:
+        raise BenchmarkError(f"{path}: no result file or journal found")
+    for e in scan.entries:
+        if e.status != "ok":
+            raise BenchmarkError(f"{e.file}:{e.lineno}: {e.reason}")
+    return ResultSet(_latest_results(scan.entries).values())
 
 
 @dataclass(frozen=True)

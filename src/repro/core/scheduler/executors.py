@@ -366,7 +366,7 @@ def _process_worker_main(
                     )
                 )
                 continue
-            record = result_to_record(result, detail=True)
+            record = result_to_record(result)
             delta, batch = flush()
             conn.send(("done", index, restarts, record, delta, batch))
     except (EOFError, KeyboardInterrupt):  # parent died / interrupted
@@ -528,10 +528,9 @@ class _ProcessSession(_SessionBase):
         """Fold one message's stats delta and telemetry batch home."""
         stats = getattr(self._engine, "stats", None)
         if stats is not None and stats_delta:
-            # the relayed batch already carries the worker's own metric
-            # counts, so mirroring the delta into the registry as well
-            # would double-count them
-            stats.merge_snapshot(stats_delta, mirror_metrics=not self._telemetry)
+            # the delta feeds the engine's own counters; the worker's
+            # metric counts arrive through the relayed batch
+            stats.merge_snapshot(stats_delta)
         if self._telemetry:
             obs_relay.merge_batch(batch, worker=worker.name)
 

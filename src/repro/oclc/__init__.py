@@ -21,7 +21,7 @@ import re
 import threading
 from typing import Mapping
 
-from .analysis import KernelIR, LoopMode, MemAccess, analyze, classify_stride, index_stream
+from .analysis import KernelIR, LoopMode, MemAccess, analyze, index_stream
 from .cast import TranslationUnit, to_source
 from .compile import CompiledKernel, compile_kernel
 from .fold import fold_expr, fold_stmt, fold_unit
@@ -61,7 +61,6 @@ __all__ = [
     "fold_unit",
     "fold_expr",
     "fold_stmt",
-    "classify_stride",
     "index_stream",
 ]
 

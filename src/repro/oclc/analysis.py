@@ -27,8 +27,8 @@ affine classification.
 
 Index expressions outside both fragments are still usable:
 :func:`index_stream` evaluates any supported index expression
-*numerically*, vectorized over the iteration domain, and
-:func:`classify_stride` falls back to sampling the stream.
+*numerically*, vectorized over the iteration domain; the device models
+sample that stream for a dominant stride.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "KernelIR",
     "analyze",
     "index_stream",
-    "classify_stride",
 ]
 
 
@@ -949,29 +948,3 @@ class _IndexEval:
         raise UnsupportedKernelError(
             f"unsupported index expression at line {expr.line}"
         )
-
-
-def classify_stride(
-    ir: KernelIR, access: MemAccess, *, global_size: int = 1, sample: int = 4096
-) -> Optional[int]:
-    """Constant element stride of the access stream, or ``None``.
-
-    Uses the affine classification when available; otherwise samples the
-    numeric stream and checks for a constant first difference.
-    """
-    if access.affine.is_affine:
-        inner_var = None
-        if ir.loops:
-            inner_var = ir.loops[-1].var
-        elif ir.loop_mode is LoopMode.NDRANGE:
-            inner_var = "gid0"
-        if inner_var is not None:
-            # the variable that changes between consecutive stream items
-            return access.affine.stride_of(inner_var) or access.affine.stride_of("gid0")
-    stream = index_stream(ir, access, global_size=global_size, max_elements=sample)
-    if stream.size < 2:
-        return 0
-    diffs = np.diff(stream)
-    if np.all(diffs == diffs[0]):
-        return int(diffs[0])
-    return None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -298,6 +299,40 @@ class TestExtendedCommands:
         out = capsys.readouterr().out
         assert "new" in out or "removed" in out
 
+    def test_compare_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        code = main(["compare", str(missing), str(tmp_path / "x.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert "Traceback" not in err
+
+    def test_compare_sweep_journals(self, tmp_path, capsys):
+        journals = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for journal in journals:
+            assert main(["sweep", "--target", "cpu", "--size", "64KiB",
+                         "--axis", "vector_width=1,2", "--ntimes", "1",
+                         "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        assert main(["compare", *map(str, journals)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("unchanged") == 2
+
+    def test_journal_fsck_on_saved_results(self, tmp_path, capsys):
+        saved = tmp_path / "saved.jsonl"
+        assert main(["run", "--target", "cpu", "--size", "64KiB", "--ntimes", "1",
+                     "--all-kernels", "--save", str(saved)]) == 0
+        capsys.readouterr()
+        assert main(["journal", "fsck", str(saved)]) == 0
+        out = capsys.readouterr().out
+        assert "valid: 4" in out and "status: clean" in out
+
+    def test_sweep_save_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--target", "cpu", "--save", "x.jsonl"])
+        assert exc.value.code == 2
+        assert "--save" in capsys.readouterr().err
+
     def test_gpustream(self, capsys):
         code = main(
             ["gpustream", "--target", "cpu", "--size", "1MiB", "--ntimes", "2", "--dot"]
@@ -410,6 +445,25 @@ class TestSchedulerFlags:
             r"front-end (\d+) hit/(\d+) miss", out
         ).groups()
         assert int(hits) + int(misses) == 2
+
+    def test_process_metrics_match_serial(self, tmp_path, capsys):
+        # the workers' metric counts reach the parent's registry once,
+        # through the telemetry relay; their build caches are private,
+        # so only the lookup total (not the hit/miss split) must agree
+        counters = {}
+        for jobs in ("1", "2"):
+            path = tmp_path / f"metrics-{jobs}.json"
+            assert main(self.SWEEP + ["--jobs", jobs, "--metrics", str(path)]) == 0
+            counters[jobs] = json.loads(path.read_text())["counters"]
+        capsys.readouterr()
+
+        def lookups(c: dict) -> float:
+            return c.get("build_cache.frontend_hits", 0) + c.get(
+                "build_cache.frontend_misses", 0
+            )
+
+        assert counters["2"]["engine.points"] == counters["1"]["engine.points"] == 2
+        assert lookups(counters["2"]) == lookups(counters["1"]) == 2
 
     def test_serial_backend_overrides_jobs(self, capsys):
         # one point to run never pays for a worker pool

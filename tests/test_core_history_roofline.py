@@ -106,6 +106,48 @@ class TestHistory:
         assert save_results([small_run()], path) == 1
         assert len(load_results(path)) == 1
 
+    def test_roundtrip_keeps_fingerprint(self, tmp_path):
+        # saved results keep their model detail, so a reloaded result
+        # is the measured one
+        path = tmp_path / "runs.jsonl"
+        results = [small_run(), small_run("gpu", vector_width=4)]
+        save_results(results, path)
+        loaded = load_results(path)
+        assert [r.fingerprint() for r in loaded] == [
+            r.fingerprint() for r in results
+        ]
+        assert loaded[0].detail == results[0].detail
+
+    def test_same_point_saved_twice_loads_latest(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        first = small_run()
+        latest = BenchmarkRunner("cpu", ntimes=2).run(first.params)
+        assert latest.fingerprint() != first.fingerprint()
+        save_results([first, small_run(vector_width=2)], path)
+        save_results([latest], path)
+        loaded = load_results(path)
+        assert len(loaded) == 2
+        assert loaded[0].fingerprint() == latest.fingerprint()  # first-seen slot
+        assert loaded[1].params.vector_width == 2
+
+    def test_missing_file_rejected(self, tmp_path):
+        path = tmp_path / "missing.jsonl"
+        with pytest.raises(BenchmarkError, match="missing.jsonl"):
+            load_results(path)
+
+    def test_damaged_line_named_by_file_and_line(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        save_results([small_run(), small_run(vector_width=2)], path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"validated": true', '"validated": false')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BenchmarkError, match=r"runs\.jsonl:2: length mismatch"):
+            load_results(path)
+        path.write_text(lines[0] + "\n" + lines[1][:40])
+        with pytest.raises(BenchmarkError, match=r"runs\.jsonl:2: truncated"):
+            load_results(path)
+        assert path.read_text().endswith(lines[1][:40])  # never writes
+
 
 class TestCompare:
     def test_classification(self):

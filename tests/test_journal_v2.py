@@ -5,8 +5,8 @@ over its canonical serialization; a crash mid-append leaves at most
 one torn final line, which ``load()`` truncates *exactly*; mid-file
 damage is quarantined to a sidecar and reported — never silently
 dropped; ``fsck`` detects every injected corruption with zero false
-positives on clean journals; v1 journals still load (read-compat,
-flagged deprecated); ``compact`` folds a rotated family back into one
+positives on clean journals; a record of any other schema is
+quarantined like any corrupt line; ``compact`` folds a rotated family back into one
 deduplicated all-v2 live file; and journal failure mid-campaign is
 *degradation, not death*. The end-to-end kill -9 proof lives in
 ``tests/test_chaos.py``.
@@ -77,7 +77,7 @@ class TestV2Format:
         lines = path.read_text().splitlines()
         assert len(lines) == len(sample)
         for line, (key, result) in zip(lines, sample):
-            record = json.loads(line)  # one flat object: v1 readers work
+            record = json.loads(line)  # one flat object: jq reads it
             assert record["schema"] == 2
             assert record["point"] == key
             assert record["fingerprint"] == result.fingerprint()
@@ -92,23 +92,30 @@ class TestV2Format:
             k: r.fingerprint() for k, r in sample
         }
 
-    def test_v1_journals_still_load_with_deprecation_note(self, tmp_path, sample):
-        path = tmp_path / "v1.jsonl"
-        with path.open("w") as fh:
-            for key, result in sample:
-                record = history._result_to_record(result, detail=True)
-                record["schema"] = 1
-                record["point"] = key
-                record["fingerprint"] = result.fingerprint()
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    def test_schema1_line_is_quarantined_and_counted_corrupt(
+        self, tmp_path, sample
+    ):
+        path = tmp_path / "j.jsonl"
+        (key0, result0), *rest = sample
+        _write_journal(path, rest)
+        record = history.result_to_record(result0)
+        record.update(schema=1, point=key0, fingerprint=result0.fingerprint())
+        schema1 = json.dumps(record, sort_keys=True)
+        with path.open("a") as fh:
+            fh.write(schema1 + "\n")
+        report = fsck_journal(path)
+        assert report.corrupt == 1 and report.valid == len(rest)
+        assert any("unsupported schema 1" in note for note in report.notes)
         journal = SweepJournal(path)
         restored = journal.load()
-        assert len(restored) == len(sample)
-        assert journal.v1_loaded == len(sample)
-        assert journal.discarded == 0
-        report = fsck_journal(path)
-        assert report.clean and report.v1_records == len(sample)
-        assert any("deprecated" in note for note in report.notes)
+        assert key0 not in restored and len(restored) == len(rest)  # re-runs
+        assert journal.discarded == 1
+        (side,) = [
+            json.loads(line)
+            for line in (tmp_path / "j.jsonl.quarantine").read_text().splitlines()
+        ]
+        assert side["line"] == schema1
+        assert fsck_journal(path).clean
 
 
 class TestTornTail:
@@ -276,20 +283,16 @@ class TestRotationAndCompaction:
         report = fsck_journal(path)
         assert report.clean and len(report.files) == len(segments)
 
-    def test_compact_dedups_upgrades_and_removes_segments(self, tmp_path, sample):
+    def test_compact_dedups_and_removes_segments(self, tmp_path, sample):
         path = tmp_path / "j.jsonl"
         journal = _write_journal(path, sample, rotate_records=2)
         key0, result0 = sample[0]
         journal.record(key0, result0)  # duplicate key: latest must win
-        record = history._result_to_record(result0, detail=True)
-        record.update(schema=1, point="v1point", fingerprint=result0.fingerprint())
-        with path.open("a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
         kept = compact_journal(path)
-        assert kept == len(sample) + 1  # unique keys, v1 upgraded
+        assert kept == len(sample)  # unique keys
         assert sorted(tmp_path.glob("j.jsonl.seg-*")) == []
         report = fsck_journal(path)
-        assert report.clean and report.v1_records == 0
+        assert report.clean
         assert report.valid == kept
 
     def test_cli_compact(self, tmp_path, sample, capsys):

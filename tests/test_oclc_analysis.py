@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import UnsupportedKernelError
-from repro.oclc import LoopMode, analyze, classify_stride, compile_source, index_stream
+from repro.devices.base import Launch, profile_accesses
+from repro.oclc import LoopMode, analyze, compile_source, index_stream
 
 
 def ir_of(src, defines=None):
@@ -173,7 +174,7 @@ class TestIndexStreams:
         )
         stream = index_stream(ir, ir.writes[0], global_size=16)
         assert np.array_equal(stream, np.arange(16))
-        assert classify_stride(ir, ir.writes[0], global_size=16) == 1
+        assert profile_accesses(ir, Launch(global_size=(16,)))[0].stride_bytes == 4
 
     def test_column_walk_stream(self):
         ir = ir_of(
@@ -185,7 +186,7 @@ class TestIndexStreams:
         # column-major: first column is 0, 4, 8, ... then column 1
         assert np.array_equal(stream[:8], np.arange(8) * 4)
         assert stream[8] == 1
-        assert classify_stride(ir, ir.writes[0]) == 4
+        assert profile_accesses(ir, Launch(global_size=(1,)))[0].stride_bytes == 16
 
     def test_modulo_stream_covers_all_elements(self):
         ir = ir_of(
@@ -204,12 +205,3 @@ class TestIndexStreams:
         )
         stream = index_stream(ir, ir.writes[0], max_elements=10)
         assert len(stream) == 10
-
-    def test_classify_no_dominant_stride(self):
-        ir = ir_of(
-            "__kernel void k(__global int *c) {"
-            " size_t g = get_global_id(0);"
-            " size_t idx = (g * g) % 64;"
-            " c[idx] = 1; }"
-        )
-        assert classify_stride(ir, ir.writes[0], global_size=64) is None
