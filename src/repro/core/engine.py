@@ -522,7 +522,9 @@ class ExecutionEngine:
                 return compile_source(
                     gen.source, {k: str(v) for k, v in gen.defines.items()}
                 ), "off"
-            checked, hit = self.cache.frontend(gen.source, gen.defines)
+            checked, hit = self.cache.frontend(
+                gen.source, gen.defines, key=gen.frontend_key
+            )
             span.set(cache="hit" if hit else "miss")
             return checked, "hit" if hit else "miss"
 
@@ -551,7 +553,9 @@ class ExecutionEngine:
         with obs_trace.span("plan", "engine") as span, clock.timed("plan"):
             if self.cache is None:
                 return build(), "off"
-            plan, hit = self.cache.plan(gen.source, defines, self.device, build)
+            plan, hit = self.cache.plan(
+                gen.source, defines, self.device, build, key=gen.frontend_key
+            )
             span.set(cache="hit" if hit else "miss")
             return plan, "hit" if hit else "miss"
 

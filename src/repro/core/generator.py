@@ -11,6 +11,7 @@ so users can inspect exactly what each configuration runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .kernels import KERNELS
@@ -31,6 +32,13 @@ class GeneratedKernel:
     #: scalar words per array the kernel actually touches
     touched_words: int
     params: TuningParameters
+
+    @cached_property
+    def frontend_key(self) -> tuple:
+        """:func:`repro.oclc.frontend_key` of this build, computed once."""
+        from ..oclc import frontend_key
+
+        return frontend_key(self.source, self.defines)
 
 
 def generate(params: TuningParameters) -> GeneratedKernel:

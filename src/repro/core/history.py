@@ -231,14 +231,6 @@ def _journal_payload(record: dict) -> bytes:
     return json.dumps(core, sort_keys=True).encode()
 
 
-def _frame_record(record: dict) -> dict:
-    framed = dict(record)
-    payload = _journal_payload(record)
-    framed["nbytes"] = len(payload)
-    framed["crc32"] = format(zlib.crc32(payload) & 0xFFFFFFFF, "08x")
-    return framed
-
-
 def _frame_error(record: dict) -> str:
     """Why a v2 record fails its framing checks (empty string = intact)."""
     crc = record.get("crc32")
@@ -254,10 +246,35 @@ def _frame_error(record: dict) -> str:
     return ""
 
 
+#: the encoder ``json.dumps(..., sort_keys=True)`` builds on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True)
+
+
+def _framed_line(record: dict) -> bytes:
+    """The journal line of ``record``: its canonical JSON plus framing.
+
+    Byte-identical to ``json.dumps(record + {crc32, nbytes},
+    sort_keys=True)`` and a newline, but the record is encoded once.
+    It is encoded as three sorted runs of members (keys before
+    ``crc32``, between ``crc32`` and ``nbytes``, after ``nbytes``): the
+    runs joined form the CRC payload, and the framing members spliced
+    between them form the line. Framing fields already in ``record``
+    are replaced.
+    """
+    runs: tuple[dict, dict, dict] = ({}, {}, {})
+    for k, v in record.items():
+        if k not in ("crc32", "nbytes"):
+            runs[(k > "crc32") + (k > "nbytes")][k] = v
+    before, between, after = (_CANONICAL.encode(run)[1:-1] for run in runs)
+    payload = ("{" + ", ".join(filter(None, (before, between, after))) + "}").encode()
+    crc32 = f'"crc32": "{zlib.crc32(payload) & 0xFFFFFFFF:08x}"'
+    nbytes = f'"nbytes": {len(payload)}'
+    members = (before, crc32, between, nbytes, after)
+    return ("{" + ", ".join(filter(None, members)) + "}\n").encode()
+
+
 def _journal_line(key: str, result: RunResult) -> bytes:
-    return (
-        json.dumps(_frame_record(_journal_core(key, result)), sort_keys=True) + "\n"
-    ).encode()
+    return _framed_line(_journal_core(key, result))
 
 
 # -- journal family scanning (shared by load / fsck / compact) ---------------

@@ -71,11 +71,15 @@ class LowFidelityScorer:
         gen = generate(params)
         try:
             if self.engine.cache is not None:
-                checked, _ = self.engine.cache.frontend(gen.source, gen.defines)
+                checked, _ = self.engine.cache.frontend(
+                    gen.source, gen.defines, key=gen.frontend_key
+                )
             else:
                 from ...oclc import compile_source_cached
 
-                checked = compile_source_cached(gen.source, defines=gen.defines)
+                checked = compile_source_cached(
+                    gen.source, defines=gen.defines, key=gen.frontend_key
+                )
 
             defines = {k: str(v) for k, v in gen.defines.items()}
             options = BuildOptions(defines=defines)
@@ -97,7 +101,7 @@ class LowFidelityScorer:
 
             if self.engine.cache is not None:
                 plan, _ = self.engine.cache.plan(
-                    gen.source, defines, self.device, build
+                    gen.source, defines, self.device, build, key=gen.frontend_key
                 )
             else:
                 plan = build()

@@ -69,17 +69,23 @@ class BuildCache:
     # -- stages ------------------------------------------------------------------
 
     def frontend(
-        self, source: str, defines: Mapping[str, str | int] | None
+        self,
+        source: str,
+        defines: Mapping[str, str | int] | None,
+        *,
+        key: tuple | None = None,
     ) -> "tuple[CheckedProgram, bool]":
         """Lex/parse/type-check ``source`` once per distinct key.
 
         Returns ``(checked, hit)``. Front-end *errors* are not cached
         (generated sources always compile; hand-written ones fail fast
-        anyway).
+        anyway). ``key`` is ``frontend_key(source, defines)`` when the
+        caller already has it (one point asks for it at both stages).
         """
         from ..oclc import compile_source_cached, frontend_key
 
-        key = frontend_key(source, defines)
+        if key is None:
+            key = frontend_key(source, defines)
         with self._lock:
             cached = self._checked.get(key)
             if cached is not None:
@@ -89,7 +95,7 @@ class BuildCache:
             return cached, True
         self._bump("frontend_misses")
         checked = compile_source_cached(
-            source, {k: str(v) for k, v in (defines or {}).items()}
+            source, {k: str(v) for k, v in (defines or {}).items()}, key=key
         )
         with self._lock:
             self._checked[key] = checked
@@ -101,6 +107,8 @@ class BuildCache:
         defines: Mapping[str, str | int] | None,
         device: "Device",
         build: "Callable[[], ExecutionPlan]",
+        *,
+        key: tuple | None = None,
     ) -> "tuple[ExecutionPlan, bool]":
         """Device build once per ``(source, defines, device)`` triple.
 
@@ -110,11 +118,14 @@ class BuildCache:
         (:class:`~repro.errors.TransientError` — a toolchain flake, not
         a design that does not fit) are never cached: the retry that
         follows must get a fresh build, and a later campaign must not
-        replay a one-off failure as if it were permanent.
+        replay a one-off failure as if it were permanent. ``key`` is
+        the front-end key, as for :meth:`frontend`.
         """
         from ..oclc import frontend_key
 
-        key = frontend_key(source, defines) + (device.short_name,)
+        if key is None:
+            key = frontend_key(source, defines)
+        key = key + (device.short_name,)
         entry = device.model.plan_cache_get(key)
         if entry is not None:
             self._bump("plan_hits")

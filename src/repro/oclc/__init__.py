@@ -115,16 +115,20 @@ def frontend_key(
 
 
 def compile_source_cached(
-    source: str, defines: Mapping[str, str] | None = None
+    source: str, defines: Mapping[str, str] | None = None, *, key: tuple | None = None
 ) -> CheckedProgram:
     """Memoized :func:`compile_source`, keyed by :func:`frontend_key`.
+
+    ``key``, when given, is ``frontend_key(source, defines)`` already
+    computed by the caller.
 
     Thread-safe; the process-wide memo is bounded (oldest entries are
     evicted first). ``CheckedProgram`` artifacts are immutable after
     checking, so sharing one instance across callers — and across
     threads — is safe.
     """
-    key = frontend_key(source, defines)
+    if key is None:
+        key = frontend_key(source, defines)
     with _frontend_lock:
         cached = _frontend_cache.get(key)
         if cached is not None:

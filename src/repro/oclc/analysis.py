@@ -176,9 +176,13 @@ class MemAccess:
         return self.element.width if isinstance(self.element, T.VectorType) else 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelIR:
-    """Everything a device model needs to cost a kernel."""
+    """Everything a device model needs to cost a kernel.
+
+    Frozen: one IR per checked kernel is shared by every device build,
+    the array lane and the search scorer (:func:`analyze`).
+    """
 
     name: str
     program: CheckedProgram
@@ -242,10 +246,16 @@ class KernelIR:
 
 
 def analyze(program: CheckedProgram, kernel_name: str | None = None) -> KernelIR:
-    """Build the :class:`KernelIR` for a kernel of a checked program."""
+    """The :class:`KernelIR` for a kernel of a checked program.
+
+    A pure function of ``(program, kernel)``, so the IR is built once
+    and memoized on the program (``CheckedProgram.kernel_irs``).
+    """
     func = program.kernel(kernel_name)
-    analyzer = _Analyzer(program, func)
-    return analyzer.run()
+    ir = program.kernel_irs.get(func.name)
+    if ir is None:
+        ir = program.kernel_irs.setdefault(func.name, _Analyzer(program, func).run())
+    return ir
 
 
 class _Analyzer:

@@ -4,18 +4,22 @@ The preprocessor supports what MP-STREAM's build scripts need:
 
 * object-like ``#define NAME value`` (and ``-DNAME=value`` build
   options, applied by :func:`tokenize` via the ``defines`` mapping);
-* ``#pragma unroll [N]``, surfaced as :class:`PragmaTok` so the parser
+* ``#pragma unroll [N]``, surfaced as a ``pragma`` token so the parser
   can attach unroll factors to the following loop;
 * ``//`` and ``/* */`` comments.
 
 Conditional compilation (``#ifdef``) is supported in the single-level
 form the generated kernels use.
+
+Each line is scanned with one compiled master regex: a whitespace run,
+an identifier or the longest punctuator is one ``match``; numbers are
+finished by :func:`_lex_number`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+import re
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from ..errors import LexError
 
@@ -100,12 +104,22 @@ PUNCTUATION = (
 
 
 _DIGITS = frozenset("0123456789")
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | _DIGITS
+
+#: One token per ``match``: a whitespace run, an identifier or keyword,
+#: the start of a number (finished by :func:`_lex_number`), or the
+#: longest punctuator. ASCII-only classes, as in C: unicode "letters"
+#: and "digits" (e.g. superscripts) are invalid characters.
+_TOKEN_RE = re.compile(
+    r"(?P<ws>[ \t\r\f\v]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<num>[0-9]|\.[0-9])"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in PUNCTUATION) + ")"
+)
+_COMMENT_START_RE = re.compile(r"//|/\*")
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     ``kind`` is one of ``ident``, ``keyword``, ``int``, ``float``,
@@ -127,28 +141,30 @@ class Token:
 
 
 def _strip_comments(source: str) -> str:
-    """Replace comments with spaces, preserving line structure."""
+    """Replace comments with spaces, preserving line structure.
+
+    A line comment is dropped up to (not including) its newline; a block
+    comment becomes spaces with its newlines kept.
+    """
     out: list[str] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch == "/" and i + 1 < n and source[i + 1] == "*":
-            end = source.find("*/", i + 2)
-            if end < 0:
-                line = source.count("\n", 0, i) + 1
-                raise LexError("unterminated block comment", line=line)
-            out.append(
-                "".join("\n" if c == "\n" else " " for c in source[i : end + 2])
-            )
-            i = end + 2
+    pos = 0
+    while True:
+        m = _COMMENT_START_RE.search(source, pos)
+        if m is None:
+            break
+        start = m.start()
+        out.append(source[pos:start])
+        if m.group() == "//":
+            end = source.find("\n", start)
+            pos = len(source) if end < 0 else end
             continue
-        else:
-            out.append(ch)
-            i += 1
-            continue
+        end = source.find("*/", start + 2)
+        if end < 0:
+            line = source.count("\n", 0, start) + 1
+            raise LexError("unterminated block comment", line=line)
+        out.append(_NOT_NEWLINE_RE.sub(" ", source[start : end + 2]))
+        pos = end + 2
+    out.append(source[pos:])
     return "".join(out)
 
 
@@ -168,8 +184,8 @@ def _preprocess(source: str, defines: dict[str, str]) -> list[tuple[int, str]]:
             directive = stripped[1:].strip()
             if directive.startswith("ifdef") or directive.startswith("ifndef"):
                 depth += 1
-                name = directive.split(None, 1)[1].strip() if " " in directive else ""
                 want_defined = directive.startswith("ifdef")
+                name = _directive_name(directive, lineno)
                 if not skipping and (name in defines) != want_defined:
                     skipping = True
                     depth_of_skip = depth
@@ -201,8 +217,7 @@ def _preprocess(source: str, defines: dict[str, str]) -> list[tuple[int, str]]:
                     )
                 defines[name] = parts[1] if len(parts) > 1 else "1"
             elif directive.startswith("undef"):
-                name = directive.split(None, 1)[1].strip()
-                defines.pop(name, None)
+                defines.pop(_directive_name(directive, lineno), None)
             elif directive.startswith("pragma"):
                 lines.append((lineno, "#" + directive))
             elif directive.startswith("include"):
@@ -218,19 +233,38 @@ def _preprocess(source: str, defines: dict[str, str]) -> list[tuple[int, str]]:
     return lines
 
 
-def _expand(text: str, defines: Mapping[str, str]) -> str:
-    """Token-ish textual macro expansion, iterated to a fixed point."""
-    if not defines:
-        return text
-    import re
+def _directive_name(directive: str, lineno: int) -> str:
+    """The macro name an ``#ifdef``/``#ifndef``/``#undef`` tests.
 
+    The name follows the directive after any whitespace (space or tab).
+    """
+    parts = directive.split(None, 1)
+    if len(parts) < 2:
+        raise LexError(f"#{parts[0]} without a macro name", line=lineno)
+    return parts[1].strip()
+
+
+def _expander(defines: Mapping[str, str]) -> Callable[[str], str]:
+    """Token-ish textual macro expansion, iterated to a fixed point.
+
+    The pattern is compiled once for the whole macro table.
+    """
+    if not defines:
+        return lambda text: text
     pattern = re.compile(r"\b(" + "|".join(re.escape(k) for k in defines) + r")\b")
-    for _ in range(16):
-        new = pattern.sub(lambda m: str(defines[m.group(1)]), text)
-        if new == text:
-            return new
-        text = new
-    raise LexError(f"macro expansion did not converge in {text!r}")
+
+    def substitute(m: re.Match) -> str:
+        return str(defines[m.group(1)])
+
+    def expand(text: str) -> str:
+        for _ in range(16):
+            new = pattern.sub(substitute, text)
+            if new == text:
+                return new
+            text = new
+        raise LexError(f"macro expansion did not converge in {text!r}")
+
+    return expand
 
 
 def tokenize(source: str, defines: Mapping[str, str] | None = None) -> list[Token]:
@@ -242,50 +276,40 @@ def tokenize(source: str, defines: Mapping[str, str] | None = None) -> list[Toke
     macro_table: dict[str, str] = dict(defines or {})
     stripped = _strip_comments(source)
     lines = _preprocess(stripped, macro_table)
+    expand = _expander(macro_table)
 
     tokens: list[Token] = []
     for lineno, text in lines:
         if text.lstrip().startswith("#pragma"):
             body = text.lstrip()[len("#pragma") :].strip()
-            body = _expand(body, macro_table)
+            body = expand(body)
             tokens.append(Token("pragma", text.strip(), lineno, 1, value=body))
             continue
-        text = _expand(text, macro_table)
-        tokens.extend(_tokenize_line(text, lineno))
+        tokens.extend(_tokenize_line(expand(text), lineno))
     tokens.append(Token("eof", "", lines[-1][0] if lines else 1, 1))
     return tokens
 
 
 def _tokenize_line(text: str, lineno: int) -> Iterator[Token]:
+    match = _TOKEN_RE.match
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-        col = i + 1
-        # ASCII-only identifier/number rules, as in C: unicode "letters"
-        # and "digits" (e.g. superscripts) are invalid characters
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            yield Token(kind, word, lineno, col)
-            i = j
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            tok, i = _lex_number(text, i, lineno, col)
+        m = match(text, i)
+        if m is None:
+            raise LexError(f"invalid character {text[i]!r}", line=lineno, col=i + 1)
+        kind = m.lastgroup
+        if kind == "ws":
+            i = m.end()
+        elif kind == "num":
+            tok, i = _lex_number(text, i, lineno, i + 1)
             yield tok
-            continue
-        for punct in PUNCTUATION:
-            if text.startswith(punct, i):
-                yield Token("punct", punct, lineno, col)
-                i += len(punct)
-                break
+        elif kind == "ident":
+            word = m.group()
+            yield Token("keyword" if word in KEYWORDS else "ident", word, lineno, i + 1)
+            i = m.end()
         else:
-            raise LexError(f"invalid character {ch!r}", line=lineno, col=col)
+            yield Token("punct", m.group(), lineno, i + 1)
+            i = m.end()
 
 
 def _lex_number(text: str, i: int, lineno: int, col: int) -> tuple[Token, int]:

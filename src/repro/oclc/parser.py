@@ -1,6 +1,8 @@
 """Recursive-descent parser for the OpenCL-C subset.
 
-Produces :mod:`repro.oclc.cast` trees. The grammar is classic C with
+Produces :mod:`repro.oclc.cast` trees. Binary operators are parsed by
+precedence climbing over one operator -> level table built from
+:data:`repro.oclc.cast.BINARY_OPS`. The grammar is classic C with
 OpenCL extensions limited to what kernels in the MP-STREAM design space
 use: ``__kernel`` functions, address-space qualifiers on pointer
 parameters, ``__attribute__`` lists, vector literals, swizzles and
@@ -9,6 +11,7 @@ parameters, ``__attribute__`` lists, vector literals, swizzles and
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Optional
 
 from ..errors import InvalidValueError, ParseError
@@ -24,6 +27,7 @@ def parse(source: str, defines: Mapping[str, str] | None = None) -> cast.Transla
     return Parser(tokenize(source, defines)).translation_unit()
 
 
+@lru_cache(maxsize=4096)
 def _is_type_name(text: str) -> bool:
     try:
         parse_type_name(text)
@@ -31,6 +35,10 @@ def _is_type_name(text: str) -> bool:
     except InvalidValueError:
         return False
 
+
+#: binary operator -> precedence level (index into ``cast.BINARY_OPS``,
+#: low to high)
+_BINARY_LEVEL = {op: level for level, ops in enumerate(cast.BINARY_OPS) for op in ops}
 
 _ADDR_SPACE_ALIASES = {
     "global": "__global",
@@ -388,16 +396,21 @@ class Parser:
             return cast.Conditional(cond, then, other, line=line)
         return cond
 
-    def _binary(self, level: int) -> cast.Expr:
-        if level >= len(cast.BINARY_OPS):
-            return self._unary()
-        ops = cast.BINARY_OPS[level]
-        left = self._binary(level + 1)
-        while self._tok.kind == "punct" and self._tok.text in ops:
-            tok = self._advance()
+    def _binary(self, min_level: int) -> cast.Expr:
+        """Precedence climbing over operators of level >= ``min_level``.
+
+        Every level is left-associative, so the right operand only takes
+        operators that bind tighter than the one just consumed.
+        """
+        left = self._unary()
+        while True:
+            tok = self._tok
+            level = _BINARY_LEVEL.get(tok.text, -1) if tok.kind == "punct" else -1
+            if level < min_level:
+                return left
+            self._advance()
             right = self._binary(level + 1)
             left = cast.Binary(tok.text, left, right, line=tok.line)
-        return left
 
     def _unary(self) -> cast.Expr:
         tok = self._tok

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import SemanticError
 from ..ocl import types as T
 from . import cast
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .analysis import KernelIR
 
 __all__ = [
     "BUILTIN_WORKITEM_FUNCTIONS",
@@ -121,6 +124,12 @@ class CheckedProgram:
     unit: cast.TranslationUnit
     expr_types: dict[int, T.Type] = field(default_factory=dict)
     param_types: dict[str, dict[str, T.Type]] = field(default_factory=dict)
+    #: :func:`repro.oclc.analysis.analyze` results by kernel name; the
+    #: IRs live exactly as long as the program (the front-end memo's
+    #: bound is theirs)
+    kernel_irs: dict[str, KernelIR] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def type_of(self, expr: cast.Expr) -> T.Type:
         try:

@@ -281,3 +281,33 @@ class TestEngineStats:
         # through EngineStats.merge_snapshot
         with pytest.raises(TypeError, match="stats"):
             ExecutionEngine("cpu", stats=EngineStats())
+
+
+@pytest.mark.parametrize("target", ["cpu", "aocl"])
+def test_frontend_key_computed_once_per_point(monkeypatch, target):
+    """The engine and the search scorer derive a point's front-end key
+    (a scan of the whole source) once, for both cache stages."""
+    import repro.oclc as oclc
+    from repro.core.search.lowfi import LowFidelityScorer
+
+    calls: list[str] = []
+    original = oclc.effective_defines
+
+    def counted(source, defines):
+        calls.append(source)
+        return original(source, defines)
+
+    monkeypatch.setattr(oclc, "effective_defines", counted)
+    engine = _engine(target, ntimes=1)
+    points = [
+        TuningParameters(array_bytes=4 * KIB, loop=LoopManagement.FLAT, vector_width=w)
+        for w in (1, 2)
+    ]
+    for params in points:
+        engine.run(params)
+    assert len(calls) == len(points)
+    calls.clear()
+    scorer = LowFidelityScorer(_engine(target, ntimes=1))
+    for params in points:
+        assert scorer.score(params) is not None
+    assert len(calls) == len(points)

@@ -14,7 +14,9 @@ deduplicated all-v2 live file; and journal failure mid-campaign is
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import zlib
 
 import pytest
 
@@ -22,7 +24,10 @@ import repro.core.history as history
 from repro.cli import main as cli_main
 from repro.core import (
     CampaignScheduler,
+    DataType,
     ExecutionEngine,
+    KernelName,
+    LoopManagement,
     ParameterSweep,
     SweepJournal,
     TuningParameters,
@@ -196,7 +201,7 @@ class TestQuarantine:
         record = json.loads(lines[1])
         record["fingerprint"] = "0" * 16
         # recompute the framing so only the fingerprint check can fail
-        lines[1] = json.dumps(history._frame_record(record), sort_keys=True)
+        lines[1] = history._framed_line(record).decode().rstrip("\n")
         path.write_text("\n".join(lines) + "\n")
         report = fsck_journal(path)
         assert report.stale == 1 and report.corrupt == 0
@@ -354,3 +359,81 @@ class TestStrictResume:
         )
         assert len(results) == len(_sweep())
         assert journal.executed == len(results)
+
+
+# -- record bytes: one encoding, the same line ---------------------------------
+
+
+def _frame_record(record: dict) -> dict:
+    framed = dict(record)
+    payload = history._journal_payload(record)
+    framed["nbytes"] = len(payload)
+    framed["crc32"] = format(zlib.crc32(payload) & 0xFFFFFFFF, "08x")
+    return framed
+
+
+def _oracle_journal_line(key: str, result) -> bytes:
+    """The journal line as the three-dump encoder wrote it (the oracle)."""
+    return (
+        json.dumps(_frame_record(history._journal_core(key, result)), sort_keys=True) + "\n"
+    ).encode()
+
+
+def _byte_sweep(target: str) -> ParameterSweep:
+    """ok points plus, on aocl, builds that do not fit (failed results)."""
+    axes = {"vector_width": [1, 8]}
+    if target == "aocl":
+        axes["unroll"] = [1, 2]
+    return ParameterSweep(
+        base=TuningParameters(
+            array_bytes=16 * KIB,
+            kernel=KernelName.TRIAD,
+            loop=LoopManagement.FLAT,
+            dtype=DataType.DOUBLE,
+        ),
+        axes=axes,
+    )
+
+
+class TestRecordBytes:
+    @pytest.mark.parametrize("target", ["cpu", "aocl"])
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    def test_lines_match_the_oracle_and_resume_cleanly(self, tmp_path, target, verify):
+        sweep = _byte_sweep(target)
+        path = tmp_path / "j.jsonl"
+        engine = ExecutionEngine(target, ntimes=1, verify=verify)
+        results = explore(engine, sweep, journal=path)
+        keys = [point_fingerprint(target, p) for p in sweep.points()]
+        outcomes = {r.ok for r in results}
+        assert outcomes == ({True, False} if target == "aocl" else {True})
+        assert all(("verify" in r.detail) == verify for r in results if r.ok)
+        assert path.read_bytes() == b"".join(
+            _oracle_journal_line(k, r) for k, r in zip(keys, results)
+        )
+        assert fsck_journal(path).clean
+        written = path.read_bytes()
+        resumed = explore(
+            ExecutionEngine(target, ntimes=1, verify=verify),
+            sweep,
+            journal=path,
+            resume=True,
+        )
+        assert [r.fingerprint() for r in resumed] == [r.fingerprint() for r in results]
+        assert path.read_bytes() == written  # every point restored, none re-run
+        assert fsck_journal(path).clean
+
+    def test_escapes_non_finite_and_framing_fields_match_the_oracle(self, sample):
+        key, result = sample[0]
+        odd = dataclasses.replace(
+            result,
+            error='bad "quote" \\ tab\t é ∑ \u2028',
+            failure_kind="permanent",
+            detail={**result.detail, "nan": float("nan"), "inf": float("-inf"),
+                    "nested": {"z": 1, "crc32": "x", "a": [1.5, None, True]}},
+        )
+        for k, r in ((key, odd), ("", odd), (key, result)):
+            assert history._journal_line(k, r) == _oracle_journal_line(k, r)
+        # a record already carrying framing is re-framed, not double-framed
+        record = json.loads(history._journal_line(key, result))
+        record["nbytes"], record["crc32"] = 0, "00000000"
+        assert history._framed_line(record) == _oracle_journal_line(key, result)

@@ -205,3 +205,67 @@ class TestIndexStreams:
         )
         stream = index_stream(ir, ir.writes[0], max_elements=10)
         assert len(stream) == 10
+
+
+class TestKernelIRMemo:
+    """One :class:`KernelIR` per checked kernel, shared by every consumer."""
+
+    SRC = (
+        "__kernel void copy(__global const float *a, __global float *c)"
+        "{ size_t i = get_global_id(0); c[i] = a[i]; }"
+        "__kernel void scale(__global const float *c, __global float *b,"
+        " const float q) { size_t i = get_global_id(0); b[i] = q * c[i]; }"
+    )
+
+    def test_every_device_build_and_the_array_lane_share_one_ir(self):
+        from repro.devices.base import BuildOptions
+        from repro.ocl.platform import find_device
+        from repro.oclc import vectorize_kernel
+
+        program = compile_source(self.SRC)
+        ir = analyze(program, "copy")
+        for target in ("cpu", "gpu", "aocl", "sdaccel"):
+            model = find_device(target).model
+            plan = model.build_kernel(program, "copy", BuildOptions())
+            assert plan.ir is ir, target
+            assert model.plan_for_kernel(plan, "scale").ir is analyze(program, "scale")
+        assert vectorize_kernel(program, "copy").ir is ir
+        assert analyze(compile_source(self.SRC), "copy") is not ir  # per program
+
+    def test_analysis_runs_once_per_program_and_kernel(self, monkeypatch):
+        from repro.devices.base import BuildOptions
+        from repro.ocl.platform import find_device
+        from repro.oclc import analysis, specialize
+
+        runs: list[tuple[int, str]] = []
+        original = analysis._Analyzer.run
+
+        def counted(self):
+            runs.append((id(self.program), self.func.name))
+            return original(self)
+
+        monkeypatch.setattr(analysis._Analyzer, "run", counted)
+        program = compile_source(self.SRC)
+        for _ in range(2):
+            for target in ("cpu", "gpu", "aocl", "sdaccel"):
+                model = find_device(target).model
+                plan = model.build_kernel(program, "copy", BuildOptions())
+                model.plan_for_kernel(plan, "scale")
+            specialize(program, "scale")
+            analyze(program, "copy")
+        assert sorted(runs) == sorted({(id(program), "copy"), (id(program), "scale")})
+
+    def test_ir_is_frozen(self):
+        import dataclasses
+
+        ir = analyze(compile_source(self.SRC), "copy")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ir.loop_mode = LoopMode.FLAT  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ir.alu_ops_per_iteration = 7  # type: ignore[misc]
+
+    def test_memo_does_not_change_program_equality_or_repr(self):
+        a, b = compile_source(self.SRC), compile_source(self.SRC)
+        analyze(a, "copy")
+        assert "kernel_irs" not in repr(a)
+        assert a.kernel_irs and not b.kernel_irs

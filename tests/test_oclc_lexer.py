@@ -137,3 +137,29 @@ class TestPreprocessor:
         toks = tokenize("")
         assert toks[-1].kind == "eof"
         assert len(toks) == 1
+
+
+class TestConditionalNames:
+    """``#ifdef``/``#ifndef``/``#undef`` take the name after any whitespace."""
+
+    @pytest.mark.parametrize("sep", [" ", "\t", " \t ", "\t\t"])
+    def test_ifdef_name_after_any_whitespace(self, sep):
+        src = f"#ifdef{sep}FOO\nint x;\n#endif\n"
+        assert texts(tokenize(src, defines={"FOO": "1"})) == ["int", "x", ";"]
+        assert texts(tokenize(src)) == []
+
+    @pytest.mark.parametrize("sep", [" ", "\t"])
+    def test_ifndef_name_after_any_whitespace(self, sep):
+        src = f"#ifndef{sep}FOO\nint x;\n#endif\n"
+        assert texts(tokenize(src)) == ["int", "x", ";"]
+        assert texts(tokenize(src, defines={"FOO": "1"})) == []
+
+    def test_undef_name_after_tab(self):
+        toks = tokenize("#define N 1\n#undef\tN\nint N;")
+        assert texts(toks) == ["int", "N", ";"]
+
+    @pytest.mark.parametrize("directive", ["#ifdef", "#ifndef", "#ifdef \t", "#undef"])
+    def test_missing_name_is_a_lex_error(self, directive):
+        with pytest.raises(LexError, match="without a macro name") as info:
+            tokenize(f"int a;\n{directive}\nint b;\n#endif\n")
+        assert info.value.line == 2
